@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -18,8 +19,15 @@ from .chain import NonRegularError, Partition, build_chain, render_chain
 from .compression import verify_all_classes
 from .fillings import compressed_sum
 from .oracle import check_specializations
-from .parallel import default_jobs, parallel_count
-from .qt import RationalQT, SymFun, symfun_json_obj, symfun_str
+from .parallel import parallel_count, resolve_jobs
+from .qt import (
+    RationalQT,
+    SymFun,
+    rational_str,
+    rational_zero,
+    symfun_json_obj,
+    symfun_str,
+)
 from .ramyip import TermCapExceeded, check_term_cap, ram_yip_sum
 
 TABLE_SHAPES: list[tuple[tuple[int, ...], int]] = [
@@ -33,6 +41,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
+
+BENCH_RAM_YIP_PAIRS = 1 << 16     # bench times ram-yip only up to this many pairs
 
 
 def _parse_partition(raw: str, n: int | None) -> Partition:
@@ -81,7 +91,7 @@ def cmd_compute(args) -> int:
     if args.verbose:
         if args.formula == "ram-yip":
             m = build_chain(lam).m
-            size = f"{(1 << m) * _factorial(lam.n)} folding pairs"
+            size = f"{(1 << m) * math.factorial(lam.n)} folding pairs"
         else:
             size = f"{parallel_count(lam, lam.n, 'paper', args.jobs)} fillings"
         print(f"evaluating {size} for {lam.parts} with {args.jobs} worker(s)",
@@ -141,7 +151,7 @@ def cmd_verify(args) -> int:
         add(
             "fibers-partition",
             class_report.total_pairs
-            == (1 << build_chain(lam).m) * _factorial(n)
+            == (1 << build_chain(lam).m) * math.factorial(n)
             and not class_report.missing_fillings,
             f"{class_report.total_pairs} pairs over "
             f"{len(class_report.classes)} fibers",
@@ -165,7 +175,10 @@ def cmd_verify(args) -> int:
     if args.map_properties:
         for name, ok, detail in _map_property_checks(lam, n):
             add(name, ok, detail)
-    if not requested:
+    if not requested and P is not None:
+        add(*_input_check(P, _compute(lam, n, args.formula, args.jobs),
+                          args.formula))
+    elif not requested:
         ry = ram_yip_sum(lam, n, jobs=args.jobs)
         cp = compressed_sum(lam, n, jobs=args.jobs)
         add("formulas-agree", ry == cp,
@@ -175,11 +188,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+def _input_check(P: SymFun, want: SymFun, formula: str) -> tuple[str, bool, str]:
+    """Compare an input expansion with the computed one, as RationalQT values."""
+    zero = rational_zero()
+    for content in sorted(set(P) | set(want), reverse=True):
+        got, expected = P.get(content, zero), want.get(content, zero)
+        if not got == expected:
+            return (
+                "input-matches", False,
+                f"first difference at x[{','.join(map(str, content))}]: input "
+                f"{rational_str(got)}, {formula} {rational_str(expected)}",
+            )
+    return "input-matches", True, f"{len(want)} monomials equal the {formula} expansion"
 
 
 def _map_property_checks(lam: Partition, n: int):
@@ -195,7 +215,7 @@ def _map_property_checks(lam: Partition, n: int):
         all(e.mult == lam.parts[e.root[0] - 1] - (e.column - 1) for e in chain),
         f"{chain.m} positions",
     )
-    total = (1 << chain.m) * _factorial(n)
+    total = (1 << chain.m) * math.factorial(n)
     parity_ok = True
     content_ok = True
     checked = 0
@@ -261,7 +281,7 @@ def cmd_table(args) -> int:
         chain = build_chain(lam)
         t_count = parallel_count(lam, n, "paper", args.jobs)
         hhl_count = parallel_count(lam, n, "hhl", args.jobs)
-        ry_terms = (1 << chain.m) * _factorial(n)
+        ry_terms = (1 << chain.m) * math.factorial(n)
         c_factor = _format_1dp_half_up(Fraction(ry_terms, t_count))
         r_factor = _format_1dp_half_up(Fraction(hhl_count, t_count))
         cells = (
@@ -287,7 +307,7 @@ def cmd_bench(args) -> int:
         return result
 
     chain = timed("build-chain", lambda: build_chain(lam))
-    print(f"  m = {chain.m}, folding pairs = {(1 << chain.m) * _factorial(n)}")
+    print(f"  m = {chain.m}, folding pairs = {(1 << chain.m) * math.factorial(n)}")
     t_count = timed("count-paper", lambda: parallel_count(lam, n, "paper", args.jobs))
     print(f"  t(lambda) = {t_count}")
     timed("count-hhl", lambda: parallel_count(lam, n, "hhl", args.jobs))
@@ -296,8 +316,11 @@ def cmd_bench(args) -> int:
     except TermCapExceeded:
         print("ram-yip: skipped (term cap)")
         return EXIT_OK
-    if (1 << chain.m) * _factorial(n) <= 1 << 16:
+    pairs = (1 << chain.m) * math.factorial(n)
+    if pairs <= BENCH_RAM_YIP_PAIRS:
         timed("ram-yip", lambda: ram_yip_sum(lam, n, jobs=args.jobs))
+    else:
+        print(f"ram-yip: skipped ({pairs} pairs > {BENCH_RAM_YIP_PAIRS})")
     timed("compressed", lambda: compressed_sum(lam, n, jobs=args.jobs))
     return EXIT_OK
 
@@ -317,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-n", type=int, default=None,
                            help="number of variables (pads with zeros)")
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default MACDONALD_JOBS or 1)")
+                       help="worker processes (default MACDONALD_JOBS or 1; "
+                       "capped at the CPU count)")
 
     p_chain = sub.add_parser("chain", help="print the factored root chain")
     add_common(p_chain)
@@ -372,12 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) is None:
-        args.jobs = default_jobs()
     if getattr(args, "lam", "") is None and getattr(args, "infile", None) is None:
         print("error: --lambda is required without --in", file=sys.stderr)
         return EXIT_INVALID
     try:
+        args.jobs = resolve_jobs(args.jobs)
         return args.func(args)
     except TermCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

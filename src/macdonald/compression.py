@@ -16,6 +16,7 @@ verifies.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .chain import (
@@ -33,7 +34,7 @@ from .fillings import (
     shape_of,
 )
 from .qt import ContentAccumulator, RationalQT, rational_reduce, rational_str
-from .ramyip import FoldingPair, _walk_term_raw, chain_denominator, check_term_cap
+from .ramyip import FoldingPair, _walk_term_raw, check_term_cap
 from .weyl import (
     Perm,
     all_perms,
@@ -225,19 +226,23 @@ def fiber(sigma: Filling, lam: Partition, n: int) -> set[FoldingPair]:
 
 def class_sum(pairs: list[FoldingPair], chain: LambdaChain,
               expected_content: tuple[int, ...]) -> tuple[RationalQT, bool]:
-    """Sum of walk coefficients over a fiber, plus a content-match flag."""
-    acc = ContentAccumulator(chain_denominator(chain))
+    """Sum of walk coefficients over a fiber, plus a content-match flag.
+
+    Every walk term of the fiber is summed, over the lcm of the fiber's own
+    denominators rather than the whole chain's.
+    """
+    terms = [_walk_term_raw(pair.w, sorted(pair.folds), chain) for pair in pairs]
+    lcm: Counter = Counter()
+    for _, den, _ in terms:
+        lcm |= den
+    acc = ContentAccumulator(lcm.elements())
     contents_ok = True
-    for pair in pairs:
-        num, den, content = _walk_term_raw(pair.w, sorted(pair.folds), chain)
+    for num, den, content in terms:
         if content != expected_content:
             contents_ok = False
         acc.add(content, num, den)
     total = rational_reduce(
-        RationalQT(
-            acc.sums.get(expected_content, {}),
-            acc.den.elements(),
-        )
+        RationalQT(acc.sums.get(expected_content, {}), lcm.elements())
     )
     return total, contents_ok
 

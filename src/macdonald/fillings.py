@@ -37,11 +37,7 @@ from .qt import (
     DenomFactor,
     RationalQT,
     SymFun,
-    binomial_factor,
-    l_mul,
-    l_mul_monomial,
-    l_one,
-    rational_reduce,
+    term_value,
 )
 
 Cell = tuple[int, int]
@@ -73,7 +69,7 @@ class Shape:
 
     __slots__ = (
         "parts", "nrows", "conjugate", "cells", "pos",
-        "left_index", "attackers", "attackers_hhl", "n_lambda",
+        "left_index", "diff_factor", "attackers", "attackers_hhl", "n_lambda",
     )
 
     def __init__(self, partition: Partition):
@@ -89,6 +85,10 @@ class Shape:
         # index of (i, j+1), the cell to the LEFT, or -1
         self.left_index = tuple(
             self.pos.get((i, j + 1), -1) for (i, j) in self.cells
+        )
+        # the factor (arm, leg + 1) a cell contributes when it is in Diff
+        self.diff_factor = tuple(
+            (self.arm(cell), self.leg(cell) + 1) for cell in self.cells
         )
         self.attackers = self._attacker_lists(hhl=False)
         self.attackers_hhl = self._attacker_lists(hhl=True)
@@ -158,13 +158,6 @@ class Filling:
             width = self.parts[i - 1]
             rows.append(" ".join(str(self[(i, j)]) for j in range(width, 0, -1)))
         return "\n".join(rows)
-
-
-def filling_from_map(values: dict[Cell, int], lam: Partition, n: int) -> Filling:
-    shape = shape_of(lam.parts)
-    if set(values) != set(shape.cells):
-        raise ValueError("filling domain does not match the diagram")
-    return Filling(lam.parts, n, tuple(values[c] for c in shape.cells))
 
 
 @dataclass(frozen=True)
@@ -310,34 +303,35 @@ def column_prefixes(lam: Partition, n: int,
 
 
 def _term_raw(shape: Shape, vals: tuple[int, ...], n: int):
-    """Numerator, denominator multiset, and content of one filling term."""
+    """Bare numerator, denominator multiset, and content of one filling term.
+
+    The numerator is the monomial q^maj t^(n(lambda)-inv) alone; the term's
+    value is num * (1-t)^|den| / prod(den) (see ``qt.term_value``).
+    """
+    attackers, left_index, diff_factor = (
+        shape.attackers, shape.left_index, shape.diff_factor
+    )
     diff_factors: list[DenomFactor] = []
     maj = 0
     inv_count = 0
     leg_des = 0
-    for idx in range(len(vals)):
-        for kdx in shape.attackers[idx]:
-            if vals[kdx] > vals[idx]:
+    for idx, v in enumerate(vals):
+        for kdx in attackers[idx]:
+            if vals[kdx] > v:
                 inv_count += 1
-        lft = shape.left_index[idx]
-        if lft < 0 or vals[idx] == vals[lft]:
+        lft = left_index[idx]
+        if lft < 0 or v == vals[lft]:
             continue
-        cell = shape.cells[idx]
-        a, b = shape.arm(cell), shape.leg(cell) + 1
-        diff_factors.append((a, b))
-        if vals[idx] > vals[lft]:
+        a, b = factor = diff_factor[idx]
+        diff_factors.append(factor)
+        if v > vals[lft]:
             maj += a
             leg_des += b - 1
     inv = inv_count - leg_des
-    num = l_one()
-    one_minus_t = binomial_factor(0, 1)
-    for _ in diff_factors:
-        num = l_mul(num, one_minus_t)
-    num = l_mul_monomial(num, maj, shape.n_lambda - inv)
     counts = [0] * n
     for v in vals:
         counts[v - 1] += 1
-    return num, Counter(diff_factors), tuple(counts)
+    return {(maj, shape.n_lambda - inv): 1}, Counter(diff_factors), tuple(counts)
 
 
 def compressed_term(sigma: Filling, lam: Partition | None = None
@@ -346,27 +340,32 @@ def compressed_term(sigma: Filling, lam: Partition | None = None
     if not sigma.is_nonattacking():
         raise AttackViolation("filling has an attacking pair with equal values")
     num, den, content = _term_raw(sigma.shape, sigma.values, sigma.n)
-    return rational_reduce(RationalQT(num, den.elements())), content
+    return term_value(num, den), content
 
 
 def diagram_denominator(shape: Shape) -> list[DenomFactor]:
     """All possible Diff factors: one per cell with a left neighbour."""
     return [
-        (shape.arm(cell), shape.leg(cell) + 1)
-        for idx, cell in enumerate(shape.cells)
-        if shape.left_index[idx] >= 0
+        factor
+        for factor, lft in zip(shape.diff_factor, shape.left_index)
+        if lft >= 0
     ]
 
 
 def compressed_shard(lam: Partition, n: int,
                      prefixes: list[tuple[int, ...]]) -> ContentAccumulator:
-    """Accumulate filling terms whose first column matches one of prefixes."""
+    """Accumulate filling terms whose first column matches one of prefixes.
+
+    Terms are grouped by denominator multiset and content over the whole
+    shard, and each group is lifted once when the shard ends.
+    """
     shape = shape_of(lam.parts)
     acc = ContentAccumulator(diagram_denominator(shape))
     for prefix in prefixes:
         for vals in _enumerate_values(shape, n, shape.attackers, prefix):
             num, den, content = _term_raw(shape, vals, n)
             acc.add(content, num, den)
+    acc.flush()
     return acc
 
 
@@ -378,9 +377,4 @@ def compressed_sum(lam: Partition, n: int, jobs: int = 1) -> SymFun:
         from .parallel import parallel_compressed_sum
 
         return parallel_compressed_sum(lam, n, jobs)
-    shape = shape_of(lam.parts)
-    acc = ContentAccumulator(diagram_denominator(shape))
-    for vals in _enumerate_values(shape, n, shape.attackers):
-        num, den, content = _term_raw(shape, vals, n)
-        acc.add(content, num, den)
-    return acc.finalize()
+    return compressed_shard(lam, n, column_prefixes(lam, n)).finalize()

@@ -20,11 +20,15 @@ from .ramyip import chain_denominator, check_term_cap, walk_shard
 from .weyl import all_perms
 
 
-def default_jobs() -> int:
-    raw = os.environ.get("MACDONALD_JOBS", "")
-    if raw:
-        return max(1, int(raw))
-    return 1
+def resolve_jobs(requested: int | None) -> int:
+    """Worker count: requested, else MACDONALD_JOBS, else 1; clamped to the CPUs."""
+    if requested is None:
+        raw = os.environ.get("MACDONALD_JOBS", "") or "1"
+        try:
+            requested = int(raw)
+        except ValueError:
+            raise ValueError(f"MACDONALD_JOBS must be an integer, got {raw!r}") from None
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _chunks(items: list, k: int) -> list[list]:

@@ -18,6 +18,16 @@ Three layers:
     coefficients, plus an accumulator used to collect formula terms per
     content over a fixed common denominator.
 
+Every term of both formulas has the shape
+
+    q^a t^b * prod_{f in D} (1 - t) / (1 - q^{f_a} t^{f_b})
+
+for a sub-multiset D of a fixed denominator, so a term is passed around
+"bare": the monomial q^a t^b plus the multiset D, with the factor
+(1 - t)^|D| left implicit.  ``term_value`` turns one bare term into its
+reduced RationalQT; ``ContentAccumulator`` sums many of them, lifting each
+(D, content) class to the common denominator once rather than once per term.
+
 All values are treated as immutable; every operation returns fresh objects,
 so they are safe to share across worker processes.
 """
@@ -26,19 +36,17 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Monomial = tuple[int, int]            # (a, b) standing for q^a * t^b
 Laurent = dict[Monomial, int]         # sparse, zero coefficients never stored
 DenomFactor = tuple[int, int]         # (a, b) standing for 1 - q^a t^b
 
+ONE_MINUS_T: DenomFactor = (0, 1)     # the factor every bare term leaves implicit
+
 
 class PoleError(ZeroDivisionError):
     """A denominator factor 1 - q^a t^b vanishes at the evaluation point."""
-
-
-def l_zero() -> Laurent:
-    return {}
 
 
 def l_one() -> Laurent:
@@ -61,39 +69,39 @@ def _check_factor(f: DenomFactor) -> None:
         raise ValueError(f"invalid denominator factor {f!r}")
 
 
-def l_add(f: Laurent, g: Laurent) -> Laurent:
-    if not f:
-        return dict(g)
-    if not g:
-        return dict(f)
-    out = dict(f)
-    for m, c in g.items():
-        s = out.get(m, 0) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
-def l_neg(f: Laurent) -> Laurent:
-    return {m: -c for m, c in f.items()}
-
-
-def l_mul(f: Laurent, g: Laurent) -> Laurent:
-    if not f or not g:
-        return {}
-    if len(f) > len(g):
-        f, g = g, f
-    out: Laurent = {}
+def _add_product_into(slot: Laurent, f: Laurent, g: Laurent) -> None:
+    """slot += f * g in place, dropping coefficients that cancel."""
     for (a1, b1), c1 in f.items():
         for (a2, b2), c2 in g.items():
             m = (a1 + a2, b1 + b2)
-            s = out.get(m, 0) + c1 * c2
+            s = slot.get(m, 0) + c1 * c2
             if s:
-                out[m] = s
+                slot[m] = s
             else:
-                del out[m]
+                del slot[m]
+
+
+def _add_into(slot: Laurent, num: Laurent) -> None:
+    """slot += num in place, dropping coefficients that cancel."""
+    for m, c in num.items():
+        s = slot.get(m, 0) + c
+        if s:
+            slot[m] = s
+        else:
+            slot.pop(m, None)
+
+
+def l_add(f: Laurent, g: Laurent) -> Laurent:
+    out = dict(f)
+    _add_into(out, g)
+    return out
+
+
+def l_mul(f: Laurent, g: Laurent) -> Laurent:
+    if len(f) > len(g):
+        f, g = g, f
+    out: Laurent = {}
+    _add_product_into(out, f, g)
     return out
 
 
@@ -190,9 +198,22 @@ class RationalQT:
 def _factors_product(factors: Counter[DenomFactor]) -> Laurent:
     out = l_one()
     for (a, b), mult in factors.items():
-        binom = binomial_factor(a, b)
+        _check_factor((a, b))
         for _ in range(mult):
-            out = l_mul(out, binom)
+            out = _mul_binomial(out, a, b)
+    return out
+
+
+def _mul_binomial(f: Laurent, a: int, b: int) -> Laurent:
+    """f * (1 - q^a t^b): f minus its shift by (a, b)."""
+    out = dict(f)
+    for (x, y), c in f.items():
+        m = (x + a, y + b)
+        s = out.get(m, 0) - c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
     return out
 
 
@@ -225,6 +246,12 @@ def rational_reduce(f: RationalQT) -> RationalQT:
     return RationalQT(num, remaining)
 
 
+def term_value(num: Laurent, den: Counter[DenomFactor]) -> RationalQT:
+    """The reduced value of the bare term num * (1-t)^|den| / prod(den)."""
+    lifted = l_mul(num, _factors_product(Counter({ONE_MINUS_T: sum(den.values())})))
+    return rational_reduce(RationalQT(lifted, den.elements()))
+
+
 def rational_add(f: RationalQT, g: RationalQT) -> RationalQT:
     """Exact sum over the multiset-lcm common denominator, reduced."""
     if not f:
@@ -238,12 +265,6 @@ def rational_add(f: RationalQT, g: RationalQT) -> RationalQT:
         l_mul(g.num, _factors_product(lcm - gc)),
     )
     return rational_reduce(RationalQT(num, lcm.elements()))
-
-
-def rational_mul(f: RationalQT, g: RationalQT) -> RationalQT:
-    if not f or not g:
-        return rational_zero()
-    return rational_reduce(RationalQT(l_mul(f.num, g.num), f.den + g.den))
 
 
 def rational_eval_at(f: RationalQT, q0: Fraction, t0: Fraction) -> Fraction:
@@ -372,37 +393,70 @@ def symfun_json_obj(parts: Content, n: int, P: SymFun) -> dict:
 
 
 class ContentAccumulator:
-    """Collects formula terms per content over a fixed shared denominator.
+    """Collects bare formula terms per content over a fixed shared denominator.
 
-    Each term arrives as a numerator with a sub-multiset of the shared
-    denominator; it is lifted by the complementary binomials before being
-    added, so the stored numerator per content is a plain integer-dict sum and
-    therefore independent of term order and of sharding.  A single reduction
-    at the end yields canonical coefficients.
+    ``add(content, num, den)`` takes a bare term: a numerator ``num`` (the
+    monomial q^a t^b for both formulas) standing for
+    ``num * (1-t)^|den| / prod(den)``, where ``den`` is a sub-multiset of the
+    shared denominator.  Nothing is multiplied out on ``add``: numerators are
+    summed into a group keyed by ``den`` and ``content``.  ``flush`` lifts each
+    group once, by ``(1-t)^|den|`` times the binomials of the shared
+    denominator that ``den`` lacks, into the per-content sums; ``sums`` and
+    ``finalize`` flush first, and ``merge`` takes the other accumulator's
+    flushed sums.  Lifted sums are plain integer
+    dicts over the shared denominator, so they do not depend on term order,
+    on when flushes happen or on sharding.  A single reduction per content in
+    ``finalize`` yields canonical coefficients.
     """
 
     def __init__(self, den: Iterable[DenomFactor]):
         self.den = Counter(den)
         self._den_tuple = tuple(sorted(self.den.elements()))
-        self.sums: dict[Content, Laurent] = {}
+        self._lifted: dict[Content, Laurent] = {}
+        self._groups: dict[frozenset, dict[Content, Laurent]] = {}
 
     def add(self, content: Content, num: Laurent, den: Counter[DenomFactor]) -> None:
-        missing = self.den - den
-        if missing:
-            num = l_mul(num, _factors_product(missing))
-        self.add_lifted(content, num)
+        key = frozenset(den.items())
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = {}
+        slot = group.get(content)
+        if slot is None:
+            group[content] = dict(num)
+        else:
+            _add_into(slot, num)
+
+    def flush(self) -> None:
+        """Lift every pending (den, content) group into the per-content sums."""
+        for key, group in self._groups.items():
+            den = Counter(dict(key))
+            if den - self.den:
+                raise ValueError(
+                    f"term denominator {sorted(den.elements())} is not part of "
+                    f"the shared denominator {list(self._den_tuple)}"
+                )
+            lift = _factors_product(
+                self.den - den + Counter({ONE_MINUS_T: sum(den.values())})
+            )
+            for content, num in group.items():
+                slot = self._lifted.get(content)
+                if slot is None:
+                    slot = self._lifted[content] = {}
+                _add_product_into(slot, num, lift)
+        self._groups.clear()
+
+    @property
+    def sums(self) -> dict[Content, Laurent]:
+        """Per-content numerators over the shared denominator, flushed."""
+        self.flush()
+        return self._lifted
 
     def add_lifted(self, content: Content, num: Laurent) -> None:
-        slot = self.sums.get(content)
+        slot = self._lifted.get(content)
         if slot is None:
-            self.sums[content] = dict(num)
+            self._lifted[content] = dict(num)
         else:
-            for m, c in num.items():
-                s = slot.get(m, 0) + c
-                if s:
-                    slot[m] = s
-                else:
-                    del slot[m]
+            _add_into(slot, num)
 
     def merge(self, other: "ContentAccumulator") -> None:
         if other._den_tuple != self._den_tuple:
@@ -412,20 +466,12 @@ class ContentAccumulator:
 
     def finalize(self) -> SymFun:
         out: SymFun = {}
-        for content in sorted(self.sums):
-            num = self.sums[content]
+        sums = self.sums
+        for content in sorted(sums):
+            num = sums[content]
             if not num:
                 continue
             coef = rational_reduce(RationalQT(num, self._den_tuple))
             if coef:
                 out[content] = coef
         return out
-
-
-def symfun_eval_at(P: SymFun, q0: Fraction, t0: Fraction) -> dict[Content, Fraction]:
-    return {c: rational_eval_at(coef, q0, t0) for c, coef in P.items()}
-
-
-def iter_sorted(P: SymFun) -> Iterator[tuple[Content, RationalQT]]:
-    for content in sorted(P, reverse=True):
-        yield content, P[content]

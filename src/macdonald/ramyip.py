@@ -20,22 +20,13 @@ Summing over all n! * 2^m pairs gives P_lambda(X;q,t).
 
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass
 
 from .chain import InternalInvariantError, LambdaChain, Partition, build_chain
-from .qt import (
-    Content,
-    ContentAccumulator,
-    RationalQT,
-    SymFun,
-    binomial_factor,
-    l_mul,
-    l_mul_monomial,
-    l_one,
-    rational_reduce,
-)
+from .qt import Content, ContentAccumulator, RationalQT, SymFun, term_value
 from .weyl import (
     Perm,
     Weight,
@@ -61,20 +52,13 @@ def term_cap() -> int:
 
 def check_term_cap(chain: LambdaChain, cap: int | None = None) -> int:
     n = chain.partition.n
-    total = (1 << chain.m) * _factorial(n)
+    total = (1 << chain.m) * math.factorial(n)
     cap = term_cap() if cap is None else cap
     if total > cap:
         raise TermCapExceeded(
             f"{total} folding pairs exceed the term cap {cap}"
         )
     return total
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 @dataclass(frozen=True)
@@ -124,7 +108,11 @@ def folded_weight(folds, chain: LambdaChain) -> Weight:
 
 def _walk_term_raw(w: Perm, fold_list: list[int], chain: LambdaChain,
                    w_length: int | None = None):
-    """Numerator, denominator multiset, and content of one walk term."""
+    """Bare numerator, denominator multiset, and content of one walk term.
+
+    The numerator is the monomial q^a t^b alone; the term's value is
+    num * (1-t)^|den| / prod(den) (see ``qt.term_value``).
+    """
     entries = chain.entries
     cur = w
     qexp = 0
@@ -144,20 +132,15 @@ def _walk_term_raw(w: Perm, fold_list: list[int], chain: LambdaChain,
         raise InternalInvariantError(
             f"odd t-exponent numerator {parity_num} for w={w}, folds={fold_list}"
         )
-    num = l_one()
-    one_minus_t = binomial_factor(0, 1)
-    for _ in fold_list:
-        num = l_mul(num, one_minus_t)
-    num = l_mul_monomial(num, qexp, parity_num // 2 + textra)
     content = permute_weight(w, folded_weight(fold_list, chain))
-    return num, Counter(factors), content
+    return {(qexp, parity_num // 2 + textra): 1}, Counter(factors), content
 
 
 def walk_term(w: Perm, folds, chain: LambdaChain,
               lam: Partition | None = None) -> tuple[RationalQT, Content]:
     """Coefficient and monomial exponent of a single folding pair."""
     num, den, content = _walk_term_raw(w, sorted(folds), chain)
-    return rational_reduce(RationalQT(num, den.elements())), content
+    return term_value(num, den), content
 
 
 def chain_denominator(chain: LambdaChain) -> list[tuple[int, int]]:
@@ -166,16 +149,28 @@ def chain_denominator(chain: LambdaChain) -> list[tuple[int, int]]:
 
 
 def walk_shard(chain: LambdaChain, perms: list[Perm]) -> ContentAccumulator:
-    """Accumulate walk terms for every fold subset of the given permutations."""
-    acc = ContentAccumulator(chain_denominator(chain))
-    m = chain.m
-    positions = list(range(1, m + 1))
-    for w in perms:
-        lw = perm_length(w)
-        for mask in range(1 << m):
+    """Accumulate walk terms for every fold subset of the given permutations.
+
+    A term's denominator multiset depends only on its fold set.  Fold sets
+    with equal multisets are therefore walked together, over every
+    permutation, and the accumulator is flushed after each such batch: it
+    holds one pending group at a time and lifts it once per content.
+    """
+    factors = chain_denominator(chain)
+    acc = ContentAccumulator(factors)
+    positions = range(1, chain.m + 1)
+    batches: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    for mask in range(1 << chain.m):
+        den = sorted(factors[p - 1] for p in positions if mask >> (p - 1) & 1)
+        batches.setdefault(tuple(den), []).append(mask)
+    lengths = [(w, perm_length(w)) for w in perms]
+    for masks in batches.values():
+        for mask in masks:
             fold_list = [p for p in positions if mask >> (p - 1) & 1]
-            num, den, content = _walk_term_raw(w, fold_list, chain, lw)
-            acc.add(content, num, den)
+            for w, lw in lengths:
+                num, den, content = _walk_term_raw(w, fold_list, chain, lw)
+                acc.add(content, num, den)
+        acc.flush()
     return acc
 
 

@@ -197,3 +197,61 @@ def test_bench_runs(capsys):
     code, out, _ = run_cli(capsys, ["bench", "--lambda", "2,1,0", "-n", "3"])
     assert code == 0
     assert "build-chain" in out and "compressed" in out
+
+
+def test_jobs_env_var_not_an_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("MACDONALD_JOBS", "abc")
+    code, out, err = run_cli(capsys, ["count", "--lambda", "3,2,1,0", "-n", "4"])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "MACDONALD_JOBS" in err
+
+
+def test_jobs_clamped_to_cpu_count_before_any_pool(capsys, monkeypatch):
+    import macdonald.parallel
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    monkeypatch.setattr(macdonald.parallel, "get_context", no_pool)
+    code, out, _ = run_cli(
+        capsys, ["count", "--lambda", "3,2,1,0", "-n", "4", "--jobs", "8"]
+    )
+    assert code == 0 and out == "288\n"
+    code, _, err = run_cli(
+        capsys,
+        ["compute", "--lambda", "2,1,0", "--formula", "compressed",
+         "--verbose", "--jobs", "8"],
+    )
+    assert code == 0 and "with 1 worker(s)" in err
+
+
+def test_verify_input_without_check_flag_compares_expansion(capsys, tmp_path):
+    _, out, _ = run_cli(
+        capsys,
+        ["compute", "--lambda", "2,1,0", "--formula", "compressed",
+         "--out", "json"],
+    )
+    good = tmp_path / "good.json"
+    good.write_text(out)
+    code, out2, _ = run_cli(capsys, ["verify", "--in", str(good)])
+    assert code == 0
+    assert json.loads(out2)["checks"][0]["name"] == "input-matches"
+    obj = json.loads(out)
+    assert obj["monomials"][0]["exp"] == [2, 1, 0]
+    assert obj["monomials"][0]["num"] == [[0, 0, 1]]
+    obj["monomials"][0]["num"][0][2] = 7
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out3, _ = run_cli(capsys, ["verify", "--in", str(bad)])
+    assert code == 1
+    report = json.loads(out3)
+    assert report["ok"] is False
+    assert report["checks"][0]["detail"].startswith("first difference at x[2,1,0]")
+
+
+def test_bench_reports_skipped_ram_yip(capsys):
+    code, out, _ = run_cli(capsys, ["bench", "--lambda", "4,3,2,1,0", "--jobs", "1"])
+    assert code == 0
+    assert "ram-yip: skipped (122880 pairs > 65536)" in out
+    assert "compressed" in out

@@ -212,18 +212,69 @@ def test_symfun_insertion_order_independent():
 
 
 def test_accumulator_matches_pairwise_addition():
+    # bare terms q * (1-t)/(1-qt) and 1 * (1-t)^2/((1-qt^2)(1-q^2 t))
     den = [(1, 1), (1, 2), (2, 1)]
     acc = ContentAccumulator(den)
     from collections import Counter
 
-    acc.add((1, 1), {(1, 0): 1, (1, 1): -1}, Counter([(1, 1)]))
+    acc.add((1, 1), {(1, 0): 1}, Counter([(1, 1)]))
     acc.add((1, 1), {(0, 0): 1}, Counter([(1, 2), (2, 1)]))
     out = acc.finalize()
     direct = rational_add(
         RationalQT({(1, 0): 1, (1, 1): -1}, [(1, 1)]),
-        RationalQT(ONE, [(1, 2), (2, 1)]),
+        RationalQT({(0, 0): 1, (0, 1): -2, (0, 2): 1}, [(1, 2), (2, 1)]),
     )
     assert out[(1, 1)] == direct
+
+
+ACC_DEN = [(1, 1), (1, 1), (1, 2), (2, 1), (0, 1), (3, 0)]
+bare_terms = st.lists(
+    st.tuples(
+        st.sampled_from([(2, 0), (1, 1), (0, 2)]),                  # content
+        st.tuples(st.integers(-2, 3), st.integers(-2, 3)),          # q^a t^b
+        st.lists(st.booleans(), min_size=len(ACC_DEN),
+                 max_size=len(ACC_DEN)),                            # sub-multiset
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bare_terms, st.data())
+def test_accumulator_bare_terms_split_and_merged(terms, data):
+    from collections import Counter
+
+    order = data.draw(st.permutations(range(len(terms))))
+    split = data.draw(st.integers(0, len(terms)))
+    flush_at = data.draw(st.integers(0, len(terms)))
+    halves = (ContentAccumulator(ACC_DEN), ContentAccumulator(ACC_DEN))
+    expected = {}
+    for step, idx in enumerate(order):
+        content, (a, b), picks = terms[idx]
+        den = Counter(f for f, keep in zip(ACC_DEN, picks) if keep)
+        acc = halves[0] if step < split else halves[1]
+        acc.add(content, {(a, b): 1}, den)
+        if step == flush_at:
+            acc.flush()
+        num = {(a, b): 1}
+        for _ in range(sum(den.values())):
+            num = l_mul(num, binomial_factor(0, 1))
+        expected[content] = rational_add(
+            expected.get(content, rational_zero()), RationalQT(num, den.elements())
+        )
+    halves[0].merge(halves[1])
+    out = halves[0].finalize()
+    for content in set(out) | set(expected):
+        assert out.get(content, rational_zero()) == expected.get(content, rational_zero())
+
+
+def test_accumulator_rejects_term_outside_shared_denominator():
+    from collections import Counter
+
+    acc = ContentAccumulator([(1, 1)])
+    acc.add((1, 0), {(0, 0): 1}, Counter([(1, 2)]))
+    with pytest.raises(ValueError):
+        acc.finalize()
 
 
 def test_canonical_strings():

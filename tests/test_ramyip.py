@@ -10,6 +10,7 @@ from macdonald.ramyip import (
     classify_folds,
     folded_weight,
     ram_yip_sum,
+    walk_shard,
     walk_term,
 )
 from macdonald.weyl import all_perms, identity_perm, perm_length
@@ -170,3 +171,13 @@ def test_enumeration_is_complete():
         for mask in range(1 << chain.m):
             total += 1
     assert total == (1 << chain.m) * 6 == 12
+
+
+def test_walk_shard_split_and_merged_equals_unsplit():
+    chain = build_chain(Partition((3, 1, 0)))
+    perms = all_perms(3)
+    whole = walk_shard(chain, perms)
+    split = walk_shard(chain, perms[:2])
+    split.merge(walk_shard(chain, perms[2:]))
+    assert split.sums == whole.sums
+    assert split.finalize() == whole.finalize()
