@@ -50,7 +50,6 @@ from .oracle import (
 from .qt import (
     PoleError,
     RationalQT,
-    laurent_mul,
     rational_add,
     rational_eval_at,
     rational_reduce,

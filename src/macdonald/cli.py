@@ -107,15 +107,57 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(x, where: str, length: int | None = None) -> list[int]:
+    if not isinstance(x, list) or not all(_is_int(v) for v in x):
+        raise ValueError(f"--in: {where} must be a list of integers")
+    if length is not None and len(x) != length:
+        raise ValueError(f"--in: {where} must have {length} entries")
+    return x
+
+
 def _load_symfun_json(stream) -> tuple[Partition, int, SymFun]:
-    obj = json.load(stream)
-    lam = Partition(obj["lambda"])
+    """Parse a ``compute --out json`` document, checking its whole schema.
+
+    Any breach (a non-object, a missing key, a non-integer exponent or
+    coefficient, a denominator factor that is not an [a, b] pair) raises a
+    one-line ValueError, so ``main`` exits 2 instead of failing later.
+    """
+    try:
+        obj = json.load(stream)
+    except RecursionError:
+        raise ValueError("--in: JSON nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise ValueError("--in: expected a JSON object with lambda, n and monomials")
+    for key in ("lambda", "n", "monomials"):
+        if key not in obj:
+            raise ValueError(f"--in: missing key {key!r}")
+    lam = Partition(_int_list(obj["lambda"], "lambda"))
     n = obj["n"]
+    if not _is_int(n) or n != lam.n:
+        raise ValueError(f"--in: n must be {lam.n}, the length of lambda")
+    if not isinstance(obj["monomials"], list):
+        raise ValueError("--in: monomials must be a list")
     P: SymFun = {}
-    for mono in obj["monomials"]:
+    for idx, mono in enumerate(obj["monomials"]):
+        where = f"monomials[{idx}]"
+        if not isinstance(mono, dict) or not {"exp", "num", "den"} <= mono.keys():
+            raise ValueError(f"--in: {where} must be an object with exp, num and den")
+        exp = _int_list(mono["exp"], f"{where}.exp", length=n)
+        if any(e < 0 for e in exp):
+            raise ValueError(f"--in: {where}.exp has a negative entry")
+        for key, width in (("num", 3), ("den", 2)):
+            rows = mono[key]
+            if not isinstance(rows, list):
+                raise ValueError(f"--in: {where}.{key} must be a list")
+            for row in rows:
+                _int_list(row, f"each entry of {where}.{key}", length=width)
         num = {(a, b): c for a, b, c in mono["num"]}
         den = [tuple(f) for f in mono["den"]]
-        P[tuple(mono["exp"])] = RationalQT(num, den)
+        P[tuple(exp)] = RationalQT(num, den)
     return lam, n, P
 
 
@@ -405,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     except TermCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (NonRegularError, ValueError, KeyError, OSError) as exc:
+    except (NonRegularError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -33,7 +33,16 @@ from .fillings import (
     enumerate_nonattacking,
     shape_of,
 )
-from .qt import ContentAccumulator, RationalQT, rational_reduce, rational_str
+from .qt import (
+    ONE_MINUS_T,
+    Laurent,
+    RationalQT,
+    _add_into,
+    _add_product_into,
+    _factors_product,
+    rational_reduce,
+    rational_str,
+)
 from .ramyip import FoldingPair, _walk_term_raw, check_term_cap
 from .weyl import (
     Perm,
@@ -225,26 +234,48 @@ def fiber(sigma: Filling, lam: Partition, n: int) -> set[FoldingPair]:
 
 
 def class_sum(pairs: list[FoldingPair], chain: LambdaChain,
-              expected_content: tuple[int, ...]) -> tuple[RationalQT, bool]:
+              expected_content: tuple[int, ...],
+              lifts: dict[frozenset, Laurent] | None = None,
+              ) -> tuple[RationalQT, bool]:
     """Sum of walk coefficients over a fiber, plus a content-match flag.
 
-    Every walk term of the fiber is summed, over the lcm of the fiber's own
-    denominators rather than the whole chain's.
+    Every walk term of the fiber is built and its content checked; the terms
+    of the expected content are summed over the lcm of the fiber's own
+    denominators rather than the whole chain's.  A bare term over ``den``
+    is lifted to that lcm by the factor multiset ``lcm - den`` plus
+    ``(1-t)^|den|``; terms are grouped by that lift key and each group is
+    multiplied by its lift polynomial once.  ``lifts`` memoises those
+    polynomials by key: ``verify_all_classes`` passes one dict for all of
+    its fibers, which share most keys, so it lives for one call.  The sum is
+    returned over the lcm unreduced; ``RationalQT`` equality is semantic.
     """
+    if lifts is None:
+        lifts = {}
     terms = [_walk_term_raw(pair.w, sorted(pair.folds), chain) for pair in pairs]
     lcm: Counter = Counter()
     for _, den, _ in terms:
         lcm |= den
-    acc = ContentAccumulator(lcm.elements())
+    groups: dict[frozenset, Laurent] = {}
     contents_ok = True
     for num, den, content in terms:
         if content != expected_content:
             contents_ok = False
-        acc.add(content, num, den)
-    total = rational_reduce(
-        RationalQT(acc.sums.get(expected_content, {}), lcm.elements())
-    )
-    return total, contents_ok
+            continue
+        key = frozenset(
+            (lcm - den + Counter({ONE_MINUS_T: sum(den.values())})).items()
+        )
+        slot = groups.get(key)
+        if slot is None:
+            groups[key] = dict(num)
+        else:
+            _add_into(slot, num)
+    total: Laurent = {}
+    for key, num in groups.items():
+        lift = lifts.get(key)
+        if lift is None:
+            lift = lifts[key] = _factors_product(Counter(dict(key)))
+        _add_product_into(total, num, lift)
+    return RationalQT(total, lcm.elements()), contents_ok
 
 
 def verify_class(sigma: Filling, lam: Partition, n: int) -> bool:
@@ -266,6 +297,7 @@ def verify_all_classes(lam: Partition, n: int) -> ClassReport:
     first_failure: str | None = None
     ok = True
     seen = set()
+    lifts: dict[frozenset, Laurent] = {}
     for sigma in enumerate_nonattacking(lam, n):
         seen.add(sigma.values)
         pairs = fibers.get(sigma.values, [])
@@ -276,7 +308,7 @@ def verify_all_classes(lam: Partition, n: int) -> ClassReport:
             if first_failure is None:
                 first_failure = f"empty fiber for filling\n{sigma.render()}"
             continue
-        lhs, contents_ok = class_sum(pairs, chain, content)
+        lhs, contents_ok = class_sum(pairs, chain, content, lifts)
         good = contents_ok and lhs == rhs
         classes[sigma.values] = ClassResult(pairs, good, contents_ok, lhs, rhs)
         if not good:
@@ -326,7 +358,7 @@ def render_counterexample(sigma: Filling, pairs: list[FoldingPair],
                           lhs: RationalQT, rhs: RationalQT,
                           chain: LambdaChain) -> str:
     lines = ["class identity failed for filling:", sigma.render()]
-    lines.append(f"fiber sum      = {rational_str(lhs)}")
+    lines.append(f"fiber sum      = {rational_str(rational_reduce(lhs))}")
     lines.append(f"filling term   = {rational_str(rhs)}")
     for pair in pairs:
         lines.append(

@@ -170,7 +170,7 @@ class FillingStats:
     content: Content
 
 
-def filling_stats(sigma: Filling, lam: Partition | None = None) -> FillingStats:
+def filling_stats(sigma: Filling) -> FillingStats:
     shape = sigma.shape
     vals = sigma.values
     des, diff = [], []
@@ -334,8 +334,7 @@ def _term_raw(shape: Shape, vals: tuple[int, ...], n: int):
     return {(maj, shape.n_lambda - inv): 1}, Counter(diff_factors), tuple(counts)
 
 
-def compressed_term(sigma: Filling, lam: Partition | None = None
-                    ) -> tuple[RationalQT, Content]:
+def compressed_term(sigma: Filling) -> tuple[RationalQT, Content]:
     """The coefficient and content of one nonattacking filling's term."""
     if not sigma.is_nonattacking():
         raise AttackViolation("filling has an attacking pair with equal values")

@@ -5,7 +5,10 @@ by two facts: it is m_lambda plus lower terms in dominance order, and it is
 orthogonal to every lower monomial symmetric function under the inner product
 with <p_rho, p_rho> = z_rho * prod_i (1 - q0^rho_i)/(1 - t0^rho_i) on power
 sums.  Solving that small linear system exactly over Fractions gives a value
-for every coefficient that never touches the formulas being checked.
+for every coefficient that never touches the formulas being checked.  The
+change of basis between power sums and monomials comes from the combinatorial
+transition coefficients of p_rho in the m_mu, and one exact Gauss-Jordan
+routine both inverts that matrix and solves the Gram system.
 
 The solve runs over all partitions of |lambda| below lambda in dominance,
 whatever their number of parts; only afterwards is the result restricted to
@@ -68,29 +71,40 @@ def strip_zeros(parts) -> PartitionTuple:
 def power_in_monomials(k: int) -> dict[PartitionTuple, dict[PartitionTuple, int]]:
     """Expansion of each power sum p_rho, rho |- k, in the monomial basis.
 
-    Computed by literally multiplying out p_r = sum_i x_i^r in k variables;
-    k variables are enough for every partition of k to survive.
+    The m_mu coefficient of p_rho = prod_j (sum_i x_i^rho_j) is its x^mu
+    coefficient: the number of maps sending each part of rho to a row of mu
+    so that the parts landing in row i sum to mu_i (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.6).  A backtrack places the parts in
+    order; the count left depends only on the parts still to place and the
+    multiset of unfilled row capacities, so it is memoised on both, and rows
+    of equal remaining capacity are counted once times their multiplicity.
     """
-    nvars = max(k, 1)
+    memo: dict[tuple[PartitionTuple, PartitionTuple], int] = {}
+
+    def ways(parts: PartitionTuple, caps: PartitionTuple) -> int:
+        # sum(parts) == sum(caps) throughout, so no parts means no capacity
+        if not parts:
+            return 1
+        key = (parts, caps)
+        hit = memo.get(key)
+        if hit is None:
+            head, rest = parts[0], parts[1:]
+            hit = 0
+            for i, cap in enumerate(caps):
+                if cap < head:
+                    break
+                if i and caps[i - 1] == cap:
+                    continue
+                left = caps[:i] + caps[i + 1:] + ((cap - head,) if cap > head else ())
+                hit += caps.count(cap) * ways(rest, tuple(sorted(left, reverse=True)))
+            memo[key] = hit
+        return hit
+
+    plist = partitions_of(k)
     out: dict[PartitionTuple, dict[PartitionTuple, int]] = {}
-    for rho in partitions_of(k):
-        poly: dict[PartitionTuple, int] = {(0,) * nvars: 1}
-        for r in rho:
-            nxt: dict[PartitionTuple, int] = {}
-            for expo, c in poly.items():
-                for i in range(nvars):
-                    e = list(expo)
-                    e[i] += r
-                    key = tuple(e)
-                    nxt[key] = nxt.get(key, 0) + c
-            poly = nxt
-        # the m_mu coefficient is read off the sorted-descending monomial x^mu
-        coeffs: dict[PartitionTuple, int] = {}
-        for expo, c in poly.items():
-            mu = strip_zeros(tuple(sorted(expo, reverse=True)))
-            if expo == mu + (0,) * (nvars - len(mu)):
-                coeffs[mu] = c
-        out[rho] = coeffs
+    for rho in plist:
+        counts = ((mu, ways(rho, mu)) for mu in plist)
+        out[rho] = {mu: c for mu, c in counts if c}
     return out
 
 
@@ -112,21 +126,36 @@ def monomial_in_powers(k: int) -> dict[PartitionTuple, dict[PartitionTuple, Frac
     return out
 
 
-def _invert(mat: list[list[Fraction]], size: int) -> list[list[Fraction]]:
-    aug = [row[:] + [Fraction(int(i == r)) for i in range(size)]
-           for r, row in enumerate(mat)]
+def _gauss_jordan(aug: list[list[Fraction]], size: int,
+                  singular: str) -> list[list[Fraction]]:
+    """Reduce augmented rows [A | B] in place to [I | A^-1 B], exactly.
+
+    A is the leading size-by-size block; when it is singular, OracleSingular
+    is raised with the caller's message.
+    """
     for col in range(size):
         pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
         if pivot is None:
-            raise OracleSingular("transition matrix is singular")
+            raise OracleSingular(singular)
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+        row = aug[col]
+        pv = row[col]
+        # columns left of col are already zero in the pivot row
+        row[col:] = [x / pv for x in row[col:]]
         for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
+            other = aug[r]
+            factor = other[col]
+            if r != col and factor:
+                other[col:] = [x - factor * y if y else x
+                               for x, y in zip(other[col:], row[col:])]
+    return aug
+
+
+def _invert(mat: list[list[Fraction]], size: int) -> list[list[Fraction]]:
+    aug = [row[:] + [Fraction(int(i == r)) for i in range(size)]
+           for r, row in enumerate(mat)]
+    reduced = _gauss_jordan(aug, size, "transition matrix is singular")
+    return [row[size:] for row in reduced]
 
 
 def _z(rho: PartitionTuple) -> int:
@@ -145,18 +174,8 @@ def _z(rho: PartitionTuple) -> int:
 def _solve(gram: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     size = len(rhs)
     aug = [gram[r][:] + [rhs[r]] for r in range(size)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise OracleSingular("Gram matrix is singular at this point")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
+    reduced = _gauss_jordan(aug, size, "Gram matrix is singular at this point")
+    return [row[size] for row in reduced]
 
 
 def macdonald_oracle(lam: Partition, n: int, q0: Fraction,

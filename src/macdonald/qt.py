@@ -150,11 +150,6 @@ def l_div_binomial(f: Laurent, a: int, b: int) -> Laurent | None:
     return out
 
 
-def laurent_mul(f: Laurent, g: Laurent) -> Laurent:
-    """Product in canonical sparse form (alias kept for the public surface)."""
-    return l_mul(f, g)
-
-
 # ---------------------------------------------------------------------------
 # Rational functions with structured denominators
 

@@ -136,8 +136,7 @@ def _walk_term_raw(w: Perm, fold_list: list[int], chain: LambdaChain,
     return {(qexp, parity_num // 2 + textra): 1}, Counter(factors), content
 
 
-def walk_term(w: Perm, folds, chain: LambdaChain,
-              lam: Partition | None = None) -> tuple[RationalQT, Content]:
+def walk_term(w: Perm, folds, chain: LambdaChain) -> tuple[RationalQT, Content]:
     """Coefficient and monomial exponent of a single folding pair."""
     num, den, content = _walk_term_raw(w, sorted(folds), chain)
     return term_value(num, den), content

@@ -1,6 +1,13 @@
 """Command-line surface: canonical output, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from macdonald.cli import main
 
@@ -255,3 +262,96 @@ def test_bench_reports_skipped_ram_yip(capsys):
     assert code == 0
     assert "ram-yip: skipped (122880 pairs > 65536)" in out
     assert "compressed" in out
+
+
+def _verify_input_text(capsys, tmp_path, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    return run_cli(capsys, ["verify", "--in", str(path)])
+
+
+def test_verify_input_that_is_not_an_object_exits_2(capsys, tmp_path):
+    code, out, err = _verify_input_text(capsys, tmp_path, "[1,2]")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --in:") and err.count("\n") == 1
+
+
+def test_verify_input_with_malformed_monomial_exits_2(capsys, tmp_path):
+    good = {"exp": [1, 0], "num": [[0, 0, 1]], "den": []}
+    for bad in ({"num": [[0, 0, "x"]]}, {"num": [[0, 0, True]]},
+                {"exp": [2, -1]}, {"exp": [1]}, {"den": [[1, 1, 1]]},
+                {"den": [[1, 0.5]]}):
+        doc = {"lambda": [1, 0], "n": 2, "monomials": [{**good, **bad}]}
+        code, out, err = _verify_input_text(capsys, tmp_path, json.dumps(doc))
+        assert code == 2 and out == "", bad
+        assert err.startswith("error: --in:") and err.count("\n") == 1, bad
+
+
+def test_verify_input_without_monomials_exits_2(capsys, tmp_path):
+    code, out, err = _verify_input_text(
+        capsys, tmp_path, json.dumps({"lambda": [1, 0], "n": 2})
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --in: missing key 'monomials'\n"
+
+
+def test_verify_input_nested_too_deeply_exits_2(capsys, tmp_path):
+    code, _, err = _verify_input_text(capsys, tmp_path, "[" * 100000 + "]" * 100000)
+    assert code == 2 and err.count("\n") == 1
+
+
+# Integers stay small: a valid document computes P_lambda for its lambda, and
+# exponents feed exact arithmetic, so large values only make examples slow.
+_ints = st.integers(-2, 4)
+_json = st.recursive(
+    st.none() | st.booleans() | _ints | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_monomial = st.fixed_dictionaries({}, optional={
+    "exp": st.lists(_ints, max_size=4) | _json,
+    "num": st.lists(st.lists(_ints, min_size=3, max_size=3) | _json, max_size=2)
+    | _json,
+    "den": st.lists(st.lists(_ints, min_size=2, max_size=2) | _json, max_size=2)
+    | _json,
+})
+_document = st.fixed_dictionaries({}, optional={
+    "lambda": st.sampled_from([[1, 0], [2, 0], [2, 1, 0], [1, 1, 0], [0], []])
+    | _json,
+    "n": _ints | _json,
+    "monomials": st.lists(_monomial | _json, max_size=3) | _json,
+})
+
+
+def _well_formed(lam):
+    n = len(lam)
+    monomial = st.fixed_dictionaries({
+        "exp": st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        "num": st.lists(st.lists(_ints, min_size=3, max_size=3), max_size=2),
+        "den": st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2),
+                        max_size=2),
+    })
+    return st.fixed_dictionaries(
+        {"lambda": st.just(lam), "n": st.just(n),
+         "monomials": st.lists(monomial, max_size=3)}
+    )
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_json | _document
+       | st.sampled_from([[1, 0], [2, 0], [2, 1, 0]]).flatmap(_well_formed))
+def test_verify_input_fuzz_never_escapes_main(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--in", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert json.loads(out.getvalue())["ok"] is (code == 0)

@@ -3,7 +3,9 @@
 import random
 
 from macdonald.chain import Partition, build_chain
+import macdonald.compression as compression
 from macdonald.compression import (
+    class_sum,
     column_factored,
     fiber,
     fiber_witness,
@@ -17,6 +19,7 @@ from macdonald.fillings import (
     enumerate_nonattacking,
     shape_of,
 )
+from macdonald.qt import RationalQT, rational_reduce, rational_str
 from macdonald.ramyip import FoldingPair, folded_weight
 from macdonald.weyl import all_perms, permute_weight
 
@@ -166,3 +169,44 @@ def test_verify_all_classes_3210():
     assert len(report.classes) == 288
     assert report.total_pairs == 384
     assert not report.missing_fillings
+
+
+def test_shared_lift_memo_matches_fresh_memo_per_fiber():
+    lam = Partition((3, 2, 1, 0))
+    chain = build_chain(lam)
+    report = verify_all_classes(lam, 4)
+    assert len(report.classes) == 288
+    for values, result in report.classes.items():
+        content = Filling(lam.parts, 4, values).content()
+        lhs, contents_ok = class_sum(result.pairs, chain, content)
+        assert (lhs.num, lhs.den) == (result.lhs.num, result.lhs.den)
+        assert contents_ok == result.contents_ok
+        assert lhs == result.rhs and result.ok
+
+
+def test_corrupted_walk_terms_fail_their_class(monkeypatch):
+    lam = Partition((3, 2, 1, 0))
+    # a fiber of two pairs whose sum over its own lcm is not yet reduced
+    values = (1, 2, 3, 1, 2, 4)
+    pairs = group_fibers(lam, 4)[values]
+    assert len(pairs) == 2
+    real = compression._walk_term_raw
+
+    def corrupted(w, folds, chain):
+        num, den, content = real(w, folds, chain)
+        if FoldingPair(w, frozenset(folds)) in pairs:
+            num = {m: 7 * c for m, c in num.items()}
+        return num, den, content
+
+    monkeypatch.setattr(compression, "_walk_term_raw", corrupted)
+    report = verify_all_classes(lam, 4)
+    assert not report.ok
+    result = report.classes[values]
+    assert not result.ok and result.contents_ok
+    assert sum(not c.ok for c in report.classes.values()) == 1
+    seven_rhs = {m: 7 * c for m, c in result.rhs.num.items()}
+    assert result.lhs == RationalQT(seven_rhs, result.rhs.den)
+    reduced = rational_str(rational_reduce(result.lhs))
+    assert reduced != rational_str(result.lhs)
+    assert report.first_failure.startswith("class identity failed for filling:")
+    assert f"fiber sum      = {reduced}\n" in report.first_failure

@@ -117,9 +117,8 @@ def test_hhl_count_large_row():
 
 
 def test_compressed_term_trivial():
-    lam = Partition((2, 0))
     sigma = make_filling((2, 0), 2, {(1, 1): 1, (1, 2): 1})
-    coef, content = compressed_term(sigma, lam)
+    coef, content = compressed_term(sigma)
     assert coef == rational_one() and content == (2, 0)
 
 

@@ -2,9 +2,14 @@
 
 from fractions import Fraction
 
+import pytest
+
 from macdonald.chain import Partition
 from macdonald.fillings import compressed_sum
 from macdonald.oracle import (
+    OracleSingular,
+    _invert,
+    _solve,
     check_specializations,
     dominance_le,
     macdonald_oracle,
@@ -42,6 +47,46 @@ def test_transition_matrices_are_mutually_inverse():
                     back[nu] = back.get(nu, Fraction(0)) + c * d
             back = {nu: v for nu, v in back.items() if v}
             assert back == {mu: Fraction(1)}
+
+
+def _power_in_monomials_by_expansion(k):
+    """p_rho multiplied out in k variables; m_mu read off the monomial x^mu."""
+    out = {}
+    for rho in partitions_of(k):
+        poly = {(0,) * max(k, 1): 1}
+        for r in rho:
+            nxt = {}
+            for expo, c in poly.items():
+                for i in range(len(expo)):
+                    e = list(expo)
+                    e[i] += r
+                    nxt[tuple(e)] = nxt.get(tuple(e), 0) + c
+            poly = nxt
+        out[rho] = {}
+        for expo, c in poly.items():
+            mu = tuple(sorted((e for e in expo if e), reverse=True))
+            if expo == mu + (0,) * (len(expo) - len(mu)):
+                out[rho][mu] = c
+    return out
+
+
+def test_power_in_monomials_matches_brute_force_expansion():
+    for k in range(0, 9):
+        assert power_in_monomials(k) == _power_in_monomials_by_expansion(k), k
+
+
+def test_singular_matrices_keep_their_messages():
+    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    with pytest.raises(OracleSingular) as exc:
+        _invert(singular, 2)
+    assert str(exc.value) == "transition matrix is singular"
+    with pytest.raises(OracleSingular) as exc:
+        _solve(singular, [Fraction(1), Fraction(0)])
+    assert str(exc.value) == "Gram matrix is singular at this point"
+    assert _solve([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]],
+                  [Fraction(3), Fraction(2)]) == [1, 1]
+    assert _invert([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]],
+                   2) == [[1, -1], [-1, 2]]
 
 
 def test_power_expansions_small():

@@ -16,7 +16,7 @@ from macdonald.qt import (
     l_div_binomial,
     l_mul,
     l_one,
-    laurent_mul,
+    l_mul as laurent_mul,
     rational_add,
     rational_eval_at,
     rational_one,
