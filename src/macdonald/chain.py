@@ -140,11 +140,12 @@ def build_chain(partition: Partition, n: int | None = None) -> LambdaChain:
     entries: list[ChainEntry] = []
     segments: list[tuple[int, int, int]] = []
     seen: dict[Root, int] = {}
+    first_of_height: dict[int, int] = {}
+    for c, height in enumerate(conj, start=1):
+        first_of_height.setdefault(height, c)
     for j in range(partition.parts[0], 1, -1):
         height = conj[j - 1]
-        first_of_height = min(c for c in range(1, len(conj) + 1)
-                              if conj[c - 1] == height)
-        roots = (column_roots_trimmed(height, n) if first_of_height == j
+        roots = (column_roots_trimmed(height, n) if first_of_height[height] == j
                  else column_roots(height, n))
         start = len(entries)
         for root in roots:

@@ -3,7 +3,7 @@
 Output on stdout is canonical and byte-identical across runs and worker
 counts; anything diagnostic goes to stderr.  Exit codes: 0 ok, 1 a requested
 verification failed, 2 invalid input (including non-regular partitions),
-3 the folding-pair cap was exceeded.
+3 the term cap was exceeded by the folding pairs or the fillings.
 """
 
 from __future__ import annotations
@@ -90,8 +90,7 @@ def cmd_compute(args) -> int:
     lam = _parse_partition(args.lam, args.n)
     if args.verbose:
         if args.formula == "ram-yip":
-            m = build_chain(lam).m
-            size = f"{(1 << m) * math.factorial(lam.n)} folding pairs"
+            size = f"{check_term_cap(build_chain(lam))} folding pairs"
         else:
             size = f"{parallel_count(lam, lam.n, 'paper', args.jobs)} fillings"
         print(f"evaluating {size} for {lam.parts} with {args.jobs} worker(s)",

@@ -29,6 +29,7 @@ from .chain import (
 )
 from .fillings import (
     Filling,
+    check_filling_cap,
     compressed_term,
     enumerate_nonattacking,
     shape_of,
@@ -289,6 +290,7 @@ def verify_class(sigma: Filling, lam: Partition, n: int) -> bool:
 
 def verify_all_classes(lam: Partition, n: int) -> ClassReport:
     """Run the per-class check over every nonattacking filling."""
+    check_filling_cap(lam, n)
     chain = build_chain(lam)
     fibers = group_fibers(lam, n)
     total_pairs = sum(len(v) for v in fibers.values())

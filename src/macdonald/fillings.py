@@ -25,6 +25,7 @@ sums of the alcove-walk formula under the filling map.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,6 +40,7 @@ from .qt import (
     SymFun,
     term_value,
 )
+from .ramyip import TermCapExceeded, term_cap
 
 Cell = tuple[int, int]
 
@@ -263,8 +265,29 @@ def _count_values(
     return rec(len(prefix))
 
 
+def check_filling_cap(lam: Partition, n: int, cap: int | None = None) -> int:
+    """Bound the fillings before any work starts; raise past the term cap.
+
+    Under either attack convention the cells of a column attack each other,
+    so a nonattacking filling is column-injective and there are at most
+    prod_j n!/(n - lambda'_j)! of them.  Returns that bound; stops
+    multiplying as soon as it passes the cap.
+    """
+    cap = term_cap() if cap is None else cap
+    total = 1
+    for height in lam.conjugate:
+        total *= math.perm(n, height)
+        if total > cap:
+            raise TermCapExceeded(
+                f"more than {cap} column-injective fillings of {lam.parts} "
+                f"exceed the term cap {cap}"
+            )
+    return total
+
+
 def count_nonattacking(lam: Partition, n: int, convention: str = "paper") -> int:
     """Number of nonattacking fillings under either attack convention."""
+    check_filling_cap(lam, n)
     shape = shape_of(lam.parts)
     if convention == "paper":
         attackers = shape.attackers
@@ -372,6 +395,7 @@ def compressed_sum(lam: Partition, n: int, jobs: int = 1) -> SymFun:
     """Macdonald P_lambda via the nonattacking-filling formula."""
     if n != lam.n:
         raise ValueError(f"n={n} does not match partition {lam.parts}")
+    check_filling_cap(lam, n)
     if jobs > 1:
         from .parallel import parallel_compressed_sum
 

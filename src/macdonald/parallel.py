@@ -14,7 +14,13 @@ import os
 from multiprocessing import get_context
 
 from .chain import Partition, build_chain
-from .fillings import column_prefixes, compressed_shard, shape_of, _count_values
+from .fillings import (
+    _count_values,
+    check_filling_cap,
+    column_prefixes,
+    compressed_shard,
+    shape_of,
+)
 from .qt import ContentAccumulator, SymFun
 from .ramyip import chain_denominator, check_term_cap, walk_shard
 from .weyl import all_perms
@@ -86,6 +92,7 @@ def _count_worker(args) -> int:
 
 
 def parallel_count(lam: Partition, n: int, convention: str, jobs: int) -> int:
+    check_filling_cap(lam, n)
     if jobs <= 1:
         from .fillings import count_nonattacking
 

@@ -16,7 +16,16 @@ Three layers:
     in the canonical form where no factor divides the numerator exactly.
   * SymFun: a finite map from monomial content vectors to RationalQT
     coefficients, plus an accumulator used to collect formula terms per
-    content over a fixed common denominator.
+    content over a fixed common denominator.  While it collects, the
+    accumulator keeps each content's lifted sum as one packed Python int
+    (Kronecker substitution): q^a t^b is a signed digit at slot
+    (a - qlo) * span + (b - tlo).  The window (qlo, tlo, span) covers every
+    pending exponent plus the largest t degree a lift can add, so no row
+    wraps into the next, and the digit width stays above a running bound on
+    every coefficient, so no digit overflows.  Sums of packed ints, and
+    products with a binomial (a shift and a subtraction), are therefore
+    exactly the dict arithmetic, done at C speed; the sums are unpacked into
+    dicts before anything reads them.
 
 Every term of both formulas has the shape
 
@@ -34,9 +43,10 @@ so they are safe to share across worker processes.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Monomial = tuple[int, int]            # (a, b) standing for q^a * t^b
 Laurent = dict[Monomial, int]         # sparse, zero coefficients never stored
@@ -387,6 +397,40 @@ def symfun_json_obj(parts: Content, n: int, P: SymFun) -> dict:
     }
 
 
+_DIGIT_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}   # memoryview.cast codes
+
+
+def _digit_bits(bound: int) -> int:
+    """Smallest digit width whose signed digits hold every |c| <= bound."""
+    for bits in _DIGIT_FORMATS:
+        if bound < 1 << (bits - 1):
+            return bits
+    return 64 * -(-(bound.bit_length() + 1) // 64)
+
+
+def _unpack_digits(value: int, bits: int) -> Iterator[tuple[int, int]]:
+    """(slot, coefficient) of every nonzero signed ``bits``-wide digit.
+
+    Adding half the digit range to every slot makes all digits non-negative,
+    so one ``to_bytes`` and one ``memoryview.cast`` read them all in linear
+    time; peeling digits off with ``>>`` would be quadratic.
+    """
+    width = bits // 8
+    nslots = -(-abs(value).bit_length() // bits) + 1
+    half = 1 << (bits - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * nslots, "little")
+    raw = (value + bias).to_bytes(nslots * width, "little")
+    fmt = _DIGIT_FORMATS.get(bits) if sys.byteorder == "little" else None
+    if fmt is not None:
+        digits = memoryview(raw).cast(fmt).tolist()
+    else:
+        digits = [int.from_bytes(raw[i:i + width], "little")
+                  for i in range(0, len(raw), width)]
+    for slot_idx, d in enumerate(digits):
+        if d != half:
+            yield slot_idx, d - half
+
+
 class ContentAccumulator:
     """Collects bare formula terms per content over a fixed shared denominator.
 
@@ -398,10 +442,24 @@ class ContentAccumulator:
     group once, by ``(1-t)^|den|`` times the binomials of the shared
     denominator that ``den`` lacks, into the per-content sums; ``sums`` and
     ``finalize`` flush first, and ``merge`` takes the other accumulator's
-    flushed sums.  Lifted sums are plain integer
-    dicts over the shared denominator, so they do not depend on term order,
-    on when flushes happen or on sharding.  A single reduction per content in
-    ``finalize`` yields canonical coefficients.
+    flushed sums.
+
+    Between flushes each content's lifted sum is one packed integer (Kronecker
+    substitution): q^a t^b is the digit at slot ``(a - qlo) * span + (b - tlo)``,
+    each slot ``bits`` wide, and coefficients are signed digits.  A lift is
+    then built by ``x -= x << shift`` per binomial, and a numerator monomial
+    adds ``(lift * c) << shift(a, b)``, all C-level integer arithmetic.  This
+    is exact as long as no digit overflows and no row wraps, which the window
+    guarantees: ``span`` covers the numerators' t range plus the largest t
+    degree of any lift, ``sum(max(b, 1) * mult)`` over the shared denominator,
+    and ``bits`` keeps ``2^(bits-1)`` above a running bound on every
+    coefficient, ``sum |c| * 2^(number of lift factors)`` (the lift's l1 norm
+    is at most 2 per factor).  A flush that leaves the window or the bound
+    first unpacks every packed sum into plain dicts, then packs afresh in a
+    wider window; ``sums`` unpacks and drops the packed integers.  Lifted sums
+    are therefore the same integer dicts over the shared denominator whatever
+    the term order, flush points, window history or sharding, and a single
+    reduction per content in ``finalize`` yields canonical coefficients.
     """
 
     def __init__(self, den: Iterable[DenomFactor]):
@@ -409,6 +467,10 @@ class ContentAccumulator:
         self._den_tuple = tuple(sorted(self.den.elements()))
         self._lifted: dict[Content, Laurent] = {}
         self._groups: dict[frozenset, dict[Content, Laurent]] = {}
+        self._packed: dict[Content, int] = {}
+        self._window: tuple[int, int, int, int] | None = None  # qlo, tlo, span, bits
+        self._bound = 0         # bound on every |coefficient| of the packed sums
+        self._lift_tdeg = sum(max(b, 1) * mult for (_a, b), mult in self.den.items())
 
     def add(self, content: Content, num: Laurent, den: Counter[DenomFactor]) -> None:
         key = frozenset(den.items())
@@ -423,27 +485,82 @@ class ContentAccumulator:
 
     def flush(self) -> None:
         """Lift every pending (den, content) group into the per-content sums."""
-        for key, group in self._groups.items():
+        for key in self._groups:
             den = Counter(dict(key))
             if den - self.den:
                 raise ValueError(
                     f"term denominator {sorted(den.elements())} is not part of "
                     f"the shared denominator {list(self._den_tuple)}"
                 )
-            lift = _factors_product(
-                self.den - den + Counter({ONE_MINUS_T: sum(den.values())})
-            )
+        nums = [num for group in self._groups.values() for num in group.values()]
+        exps = [m for num in nums for m in num]
+        if exps:
+            weight = sum(abs(c) for num in nums for c in num.values())
+            self._fit(min(a for a, _b in exps), min(b for _a, b in exps),
+                      max(b for _a, b in exps) + self._lift_tdeg,
+                      weight << len(self._den_tuple))
+        qlo, tlo, span, bits = self._window or (0, 0, 0, 0)
+        packed = self._packed
+        for key, group in self._groups.items():
+            # with no exponent pending every numerator cancelled: nothing to lift
+            lift = self._packed_lift(dict(key)) if exps else 0
             for content, num in group.items():
-                slot = self._lifted.get(content)
-                if slot is None:
-                    slot = self._lifted[content] = {}
-                _add_product_into(slot, num, lift)
+                total = packed.get(content, 0)
+                for (a, b), c in num.items():
+                    total += (lift * c) << bits * ((a - qlo) * span + b - tlo)
+                packed[content] = total
         self._groups.clear()
+
+    def _packed_lift(self, den: dict[DenomFactor, int]) -> int:
+        """(1-t)^|den| times the binomials ``den`` lacks, as a packed integer."""
+        _qlo, _tlo, span, bits = self._window
+        lift = 1
+        for (a, b), mult in self.den.items():
+            shift = bits * (a * span + b)
+            for _ in range(mult - den.get((a, b), 0)):
+                lift -= lift << shift
+        for _ in range(sum(den.values())):       # (1 - t) is one slot up
+            lift -= lift << bits
+        return lift
+
+    def _fit(self, qlo: int, tlo: int, thi: int, weight: int) -> None:
+        """Make the window hold q^qlo.., t^tlo..t^thi and ``weight`` more."""
+        if self._window is not None:
+            old_q, old_t, span, bits = self._window
+            old_thi = old_t + span - 1
+            bound = self._bound + weight
+            if (qlo >= old_q and tlo >= old_t and thi <= old_thi
+                    and bound < 1 << (bits - 1)):
+                self._bound = bound
+                return
+            self._unpack()
+            # widen a growing side by one lift degree, so walks repack rarely
+            if tlo < old_t:
+                tlo -= self._lift_tdeg
+            if thi > old_thi:
+                thi += self._lift_tdeg
+            qlo, tlo, thi = min(qlo, old_q), min(tlo, old_t), max(thi, old_thi)
+        self._window = (qlo, tlo, thi - tlo + 1, _digit_bits(weight))
+        self._bound = weight
+
+    def _unpack(self) -> None:
+        """Move every packed sum into the dict sums, dropping the integers."""
+        packed, lifted = self._packed, self._lifted
+        for content in list(packed):
+            value = packed.pop(content)
+            slot = lifted.setdefault(content, {})
+            if value:
+                qlo, tlo, span, bits = self._window
+                _add_into(slot, {(qlo + i // span, tlo + i % span): c
+                                 for i, c in _unpack_digits(value, bits)})
+        self._window = None
+        self._bound = 0
 
     @property
     def sums(self) -> dict[Content, Laurent]:
         """Per-content numerators over the shared denominator, flushed."""
         self.flush()
+        self._unpack()
         return self._lifted
 
     def add_lifted(self, content: Content, num: Laurent) -> None:

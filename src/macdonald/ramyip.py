@@ -55,9 +55,9 @@ def check_term_cap(chain: LambdaChain, cap: int | None = None) -> int:
     total = (1 << chain.m) * math.factorial(n)
     cap = term_cap() if cap is None else cap
     if total > cap:
-        raise TermCapExceeded(
-            f"{total} folding pairs exceed the term cap {cap}"
-        )
+        # a count past Python's int-to-str digit limit is shown as a formula
+        shown = total if total.bit_length() <= 1024 else f"2^{chain.m} * {n}!"
+        raise TermCapExceeded(f"{shown} folding pairs exceed the term cap {cap}")
     return total
 
 
@@ -106,25 +106,36 @@ def folded_weight(folds, chain: LambdaChain) -> Weight:
     return mu
 
 
+def _fold_data(fold_list: list[int], chain: LambdaChain) -> tuple[Weight, Counter]:
+    """The parts of a walk term that depend only on its fold set.
+
+    These are the folded weight and the denominator multiset.
+    """
+    entries = [chain.entries[p - 1] for p in fold_list]
+    den = Counter([(e.mult, e.height) for e in entries])
+    return folded_weight(fold_list, chain), den
+
+
 def _walk_term_raw(w: Perm, fold_list: list[int], chain: LambdaChain,
-                   w_length: int | None = None):
+                   w_length: int | None = None,
+                   fold_data: tuple[Weight, Counter] | None = None):
     """Bare numerator, denominator multiset, and content of one walk term.
 
     The numerator is the monomial q^a t^b alone; the term's value is
-    num * (1-t)^|den| / prod(den) (see ``qt.term_value``).
+    num * (1-t)^|den| / prod(den) (see ``qt.term_value``).  ``fold_data``
+    is ``_fold_data(fold_list, chain)``, passed in when many permutations
+    share one fold set; the returned multiset is then that shared Counter.
     """
+    mu, den = _fold_data(fold_list, chain) if fold_data is None else fold_data
     entries = chain.entries
     cur = w
     qexp = 0
     textra = 0
-    factors: list[tuple[int, int]] = []
     for p in fold_list:
         entry = entries[p - 1]
-        h = entry.height
-        factors.append((entry.mult, h))
         if not is_bruhat_descent(cur, entry.root):
             qexp += entry.mult
-            textra += h
+            textra += entry.height
         cur = right_mul_transposition(cur, entry.root)
     lw = perm_length(w) if w_length is None else w_length
     parity_num = lw - perm_length(cur) - len(fold_list)
@@ -132,8 +143,7 @@ def _walk_term_raw(w: Perm, fold_list: list[int], chain: LambdaChain,
         raise InternalInvariantError(
             f"odd t-exponent numerator {parity_num} for w={w}, folds={fold_list}"
         )
-    content = permute_weight(w, folded_weight(fold_list, chain))
-    return {(qexp, parity_num // 2 + textra): 1}, Counter(factors), content
+    return {(qexp, parity_num // 2 + textra): 1}, den, permute_weight(w, mu)
 
 
 def walk_term(w: Perm, folds, chain: LambdaChain) -> tuple[RationalQT, Content]:
@@ -150,10 +160,12 @@ def chain_denominator(chain: LambdaChain) -> list[tuple[int, int]]:
 def walk_shard(chain: LambdaChain, perms: list[Perm]) -> ContentAccumulator:
     """Accumulate walk terms for every fold subset of the given permutations.
 
-    A term's denominator multiset depends only on its fold set.  Fold sets
-    with equal multisets are therefore walked together, over every
-    permutation, and the accumulator is flushed after each such batch: it
-    holds one pending group at a time and lifts it once per content.
+    A term's denominator multiset and folded weight depend only on its fold
+    set, so both are computed once per fold set (``_fold_data``) rather than
+    once per permutation.  Fold sets with equal multisets are walked
+    together, over every permutation, and the accumulator is flushed after
+    each such batch: it holds one pending group at a time and lifts it once
+    per content.
     """
     factors = chain_denominator(chain)
     acc = ContentAccumulator(factors)
@@ -166,8 +178,10 @@ def walk_shard(chain: LambdaChain, perms: list[Perm]) -> ContentAccumulator:
     for masks in batches.values():
         for mask in masks:
             fold_list = [p for p in positions if mask >> (p - 1) & 1]
+            fold_data = _fold_data(fold_list, chain)
             for w, lw in lengths:
-                num, den, content = _walk_term_raw(w, fold_list, chain, lw)
+                num, den, content = _walk_term_raw(w, fold_list, chain, lw,
+                                                   fold_data)
                 acc.add(content, num, den)
         acc.flush()
     return acc

@@ -1,0 +1,45 @@
+"""The benchmark's tracer still finds every program name it hooks.
+
+``perfbench/layers.py`` measures layers by wrapping names such as
+``ContentAccumulator.add`` and ``ramyip._walk_term_raw``, and its observers
+unpack their arguments.  A rename or a changed call shape makes those
+per-layer metrics drop out of a traced run, so this test loads the tracer
+(read-only, by path), runs a small ``compute`` under it and checks that every
+hook resolved, no observer broke and the exact counts come out.
+"""
+
+import contextlib
+import importlib.util
+import io
+import math
+from pathlib import Path
+
+from macdonald.chain import Partition, build_chain
+from macdonald.cli import main
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_hooks_resolve_and_count_walk_terms(tmp_path):
+    tracer = _load_layers().Tracer(tmp_path)
+    assert tracer.absent == []
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["compute", "--lambda", "2,1,0", "--formula", "ram-yip",
+                         "--jobs", "1"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    stats = tracer.collect()
+    assert stats.broken == set()
+    pairs = (1 << build_chain(Partition((2, 1, 0))).m) * math.factorial(3)
+    assert stats.calls["ramyip._walk_term_raw"] == pairs
+    assert stats.calls["qt.ContentAccumulator.add"] == pairs

@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +73,40 @@ def test_term_cap_exits_3(capsys, monkeypatch):
     )
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--formula", "compressed", "--lambda", "100000,0"],
+    ["count", "--lambda", "100000,0"],
+    ["count", "--lambda", "100000,0", "--convention", "hhl", "--jobs", "2"],
+    ["verify", "--per-class", "--lambda", "100000,0"],
+])
+def test_filling_paths_exit_3_before_any_work(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "term cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--formula", "ram-yip", "--lambda", "100000,0"],
+    ["compute", "--formula", "ram-yip", "--lambda", "100000,0", "--verbose"],
+    ["verify", "--lambda", "100000,0"],
+])
+def test_walk_paths_exit_3_on_a_wide_shape(capsys, argv):
+    # the walk paths build the chain (linear in lambda_1) before the cap check
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 10
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "2^99999 * 2! folding pairs" in err
+
+
+def test_table_respects_term_cap(capsys, monkeypatch):
+    monkeypatch.setenv("MACDONALD_TERM_CAP", "100")
+    code, _, err = run_cli(capsys, ["table", "--rows", "1"])
+    assert code == 3 and "column-injective" in err
 
 
 def test_verify_default_cross_check(capsys):

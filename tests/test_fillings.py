@@ -7,6 +7,7 @@ from macdonald.fillings import (
     AttackViolation,
     Filling,
     attacks,
+    check_filling_cap,
     compressed_sum,
     compressed_term,
     count_nonattacking,
@@ -17,6 +18,7 @@ from macdonald.fillings import (
     shape_of,
 )
 from macdonald.qt import RationalQT, l_one, rational_one, rational_reduce
+from macdonald.ramyip import TermCapExceeded
 
 
 def make_filling(parts, n, values_by_cell):
@@ -179,3 +181,20 @@ def test_des_subset_diff_and_stat_bounds():
         assert st.des <= st.diff
         assert st.inv >= 0
         assert shape.n_lambda - st.inv >= 0
+
+
+@pytest.mark.parametrize("parts", [(2, 0), (2, 1, 0), (3, 1, 0), (3, 2, 1, 0),
+                                   (4, 2, 1, 0), (4, 3, 2, 1, 0)])
+def test_filling_cap_bounds_both_conventions(parts):
+    lam = Partition(parts)
+    bound = check_filling_cap(lam, lam.n)
+    assert count_nonattacking(lam, lam.n, "paper") <= bound
+    assert count_nonattacking(lam, lam.n, "hhl") <= bound
+    with pytest.raises(TermCapExceeded):
+        check_filling_cap(lam, lam.n, cap=bound - 1)
+
+
+def test_filling_cap_of_largest_table_shape():
+    # columns of heights 4, 3, 2, 2, 1 in 5 variables: 120 * 60 * 20 * 20 * 5
+    lam = Partition((5, 4, 2, 1, 0))
+    assert check_filling_cap(lam, 5) == 14_400_000

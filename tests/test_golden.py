@@ -1,0 +1,88 @@
+"""Golden bytes: SHA-256 of ``compute`` stdout on the small regular shapes.
+
+Both formulas print one canonical reduced form per coefficient, and that form
+depends on lifting every term to exactly the shared denominator before the
+single reduction in ``finalize``.  The hashes were recorded with the earlier
+dict-based accumulator, so any change to lifting, reduction or rendering
+that alters a byte shows here.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from macdonald.cli import main
+
+GOLDEN = {
+    ((4, 0), "ram-yip", "json"): "f7744688115a99dea9dc754d737717e1efba3653e1fe3f2de6ec6ebce5086fa4",
+    ((4, 0), "ram-yip", "text"): "61ebc4fdb4d6b802dd4562d36572fd078e4f0bb70e44367bebf19ec927c274b0",
+    ((4, 0), "compressed", "json"): "f7744688115a99dea9dc754d737717e1efba3653e1fe3f2de6ec6ebce5086fa4",
+    ((4, 0), "compressed", "text"): "61ebc4fdb4d6b802dd4562d36572fd078e4f0bb70e44367bebf19ec927c274b0",
+    ((3, 0), "ram-yip", "json"): "becb6814a7dea7e0ef48b9f270aa2f2864842da6028c02b0b2d46fe348d66819",
+    ((3, 0), "ram-yip", "text"): "9d49bf67c811a8dddd855cea7facc30247d1396448ddf3abc8fc478c2893b6ae",
+    ((3, 0), "compressed", "json"): "becb6814a7dea7e0ef48b9f270aa2f2864842da6028c02b0b2d46fe348d66819",
+    ((3, 0), "compressed", "text"): "9d49bf67c811a8dddd855cea7facc30247d1396448ddf3abc8fc478c2893b6ae",
+    ((2, 0), "ram-yip", "json"): "e44c365b778fbdafac3c5cbb4b3733e0aa93f4c73a33426a0bf6f6ac17a9d83c",
+    ((2, 0), "ram-yip", "text"): "9196100d65c24d6b25c39b00e3db5a95d65a25d7d29463b3eb3e73dd776a30be",
+    ((2, 0), "compressed", "json"): "e44c365b778fbdafac3c5cbb4b3733e0aa93f4c73a33426a0bf6f6ac17a9d83c",
+    ((2, 0), "compressed", "text"): "9196100d65c24d6b25c39b00e3db5a95d65a25d7d29463b3eb3e73dd776a30be",
+    ((1, 0), "ram-yip", "json"): "5e502b3f385c7cc5cb0b3b3d770fdcc49014b7ef6f1261dd660ebc751d3c19b3",
+    ((1, 0), "ram-yip", "text"): "6bd4f3818e467ffc708695c672fd828d55f8fe70dd2a985365fe6976feae5cc4",
+    ((1, 0), "compressed", "json"): "5e502b3f385c7cc5cb0b3b3d770fdcc49014b7ef6f1261dd660ebc751d3c19b3",
+    ((1, 0), "compressed", "text"): "6bd4f3818e467ffc708695c672fd828d55f8fe70dd2a985365fe6976feae5cc4",
+    ((4, 3, 0), "ram-yip", "json"): "ca10da2c5d8626da3b190a1ccdb46c2cd5ca425134cdfb5c276aff915eb1523c",
+    ((4, 3, 0), "ram-yip", "text"): "e0fcd7087f7666c8727f9089c7324773959bc9f28429b82aaa7fc78540d71390",
+    ((4, 3, 0), "compressed", "json"): "ca10da2c5d8626da3b190a1ccdb46c2cd5ca425134cdfb5c276aff915eb1523c",
+    ((4, 3, 0), "compressed", "text"): "e0fcd7087f7666c8727f9089c7324773959bc9f28429b82aaa7fc78540d71390",
+    ((4, 2, 0), "ram-yip", "json"): "793ae97a16310da08846eaf314345e3ec0e92f17f8481021ac8cccb4dfb0622e",
+    ((4, 2, 0), "ram-yip", "text"): "d95ed4864649de04f529004372bc29134cf976341f689b6b979e22ef2c6231b0",
+    ((4, 2, 0), "compressed", "json"): "793ae97a16310da08846eaf314345e3ec0e92f17f8481021ac8cccb4dfb0622e",
+    ((4, 2, 0), "compressed", "text"): "d95ed4864649de04f529004372bc29134cf976341f689b6b979e22ef2c6231b0",
+    ((4, 1, 0), "ram-yip", "json"): "8e9f81aa5aa70e9bd78b325e50e72b7aa95b93c6a96b4229d513d38cc0a67099",
+    ((4, 1, 0), "ram-yip", "text"): "827c155491924ff2c176adb95998e0327b896ae14bedc7d0c937fdc59d057a6d",
+    ((4, 1, 0), "compressed", "json"): "8e9f81aa5aa70e9bd78b325e50e72b7aa95b93c6a96b4229d513d38cc0a67099",
+    ((4, 1, 0), "compressed", "text"): "827c155491924ff2c176adb95998e0327b896ae14bedc7d0c937fdc59d057a6d",
+    ((3, 2, 0), "ram-yip", "json"): "2a327e3c7eedfa31bb42412bf17bd2e61a178edd62bfc9ffce4898ce3c36f24f",
+    ((3, 2, 0), "ram-yip", "text"): "8bdd8b253566549a1fde565da0fb607646e8960aa6ceff6427ef42fa330096c5",
+    ((3, 2, 0), "compressed", "json"): "2a327e3c7eedfa31bb42412bf17bd2e61a178edd62bfc9ffce4898ce3c36f24f",
+    ((3, 2, 0), "compressed", "text"): "8bdd8b253566549a1fde565da0fb607646e8960aa6ceff6427ef42fa330096c5",
+    ((3, 1, 0), "ram-yip", "json"): "177ae44416f65144912ba8ff256098152c94505b8223ee0667ca76fb6de6abd5",
+    ((3, 1, 0), "ram-yip", "text"): "b7bcf32b996740073029d9ddf0689cca45eb8dfbab7727b51347565e5f90d9fd",
+    ((3, 1, 0), "compressed", "json"): "177ae44416f65144912ba8ff256098152c94505b8223ee0667ca76fb6de6abd5",
+    ((3, 1, 0), "compressed", "text"): "b7bcf32b996740073029d9ddf0689cca45eb8dfbab7727b51347565e5f90d9fd",
+    ((2, 1, 0), "ram-yip", "json"): "f128f80b4488534cde29ed31488db056e398a85b0cb2d2a96cb75fc1b6478b3d",
+    ((2, 1, 0), "ram-yip", "text"): "bdfb46c01bbcc892ad76bce4148cbb01759b4b26a34515eefd005066cdbfe9f3",
+    ((2, 1, 0), "compressed", "json"): "f128f80b4488534cde29ed31488db056e398a85b0cb2d2a96cb75fc1b6478b3d",
+    ((2, 1, 0), "compressed", "text"): "bdfb46c01bbcc892ad76bce4148cbb01759b4b26a34515eefd005066cdbfe9f3",
+    ((4, 3, 2, 0), "ram-yip", "json"): "6513a19a51eb99ade1c3a9b7e29f8335166d1650c4a114109b613f720000d96a",
+    ((4, 3, 2, 0), "ram-yip", "text"): "a52d6054eac8dee2f883ce6257d37ca6811957154b18523ce83adcae9b2a0ad6",
+    ((4, 3, 2, 0), "compressed", "json"): "6513a19a51eb99ade1c3a9b7e29f8335166d1650c4a114109b613f720000d96a",
+    ((4, 3, 2, 0), "compressed", "text"): "a52d6054eac8dee2f883ce6257d37ca6811957154b18523ce83adcae9b2a0ad6",
+    ((4, 3, 1, 0), "ram-yip", "json"): "ec08d4cdf39a307281d25cc300b19dc91f657517b4e8d5d32d76b83fa8051bce",
+    ((4, 3, 1, 0), "ram-yip", "text"): "3c538e1c4cef07a5647e334fcd8a7da3e91d5442ab56b6e03a064179f92f149f",
+    ((4, 3, 1, 0), "compressed", "json"): "ec08d4cdf39a307281d25cc300b19dc91f657517b4e8d5d32d76b83fa8051bce",
+    ((4, 3, 1, 0), "compressed", "text"): "3c538e1c4cef07a5647e334fcd8a7da3e91d5442ab56b6e03a064179f92f149f",
+    ((4, 2, 1, 0), "ram-yip", "json"): "70630ebd72abbafef29d47911aafce7f275de11459fc1bb17c818e25c8b4c237",
+    ((4, 2, 1, 0), "ram-yip", "text"): "92f739b6ffb1a277afedf05508b494c2d27a2a7645b100002d956a4844c7439e",
+    ((4, 2, 1, 0), "compressed", "json"): "70630ebd72abbafef29d47911aafce7f275de11459fc1bb17c818e25c8b4c237",
+    ((4, 2, 1, 0), "compressed", "text"): "92f739b6ffb1a277afedf05508b494c2d27a2a7645b100002d956a4844c7439e",
+    ((3, 2, 1, 0), "ram-yip", "json"): "37ddc89b07259016839f1d2a528f0ae42b6cba67049e569003fad8969de9f154",
+    ((3, 2, 1, 0), "ram-yip", "text"): "cbf79774f2db0b2e8f55ba69133e47794d05103d576589fe78210a15dc5f6954",
+    ((3, 2, 1, 0), "compressed", "json"): "37ddc89b07259016839f1d2a528f0ae42b6cba67049e569003fad8969de9f154",
+    ((3, 2, 1, 0), "compressed", "text"): "cbf79774f2db0b2e8f55ba69133e47794d05103d576589fe78210a15dc5f6954",
+    ((4, 3, 2, 1, 0), "compressed", "json"): "aafaac15f1ced0a1cfa9d2024f62eb96454b4590fdd95d8bac58f35203275c8a",
+    ((4, 3, 2, 1, 0), "compressed", "text"): "a335cd1812bbd54e3c5d48040b5dffdfc48d9fc3f942c02032e9870bdf7cf042",
+}
+
+
+@pytest.mark.parametrize("parts,formula,out", sorted(GOLDEN))
+def test_compute_stdout_matches_golden_hash(parts, formula, out):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["compute", "--lambda", ",".join(map(str, parts)),
+                     "--formula", formula, "--out", out, "--jobs", "1"])
+    assert code == 0
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == GOLDEN[(parts, formula, out)]

@@ -1,9 +1,10 @@
 """Exact q,t-arithmetic: ring laws, reduction, evaluation, accumulators."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macdonald.qt import (
@@ -275,6 +276,116 @@ def test_accumulator_rejects_term_outside_shared_denominator():
     acc.add((1, 0), {(0, 0): 1}, Counter([(1, 2)]))
     with pytest.raises(ValueError):
         acc.finalize()
+
+
+# Reference for the packed accumulator: plain dict convolution, independent
+# of qt's own multiplication.
+
+def _reference_lift(shared, den):
+    """(1-t)^|den| times the factors of ``shared`` that ``den`` lacks."""
+    poly = {(0, 0): 1}
+    factors = list((Counter(shared) - den).elements())
+    factors += [(0, 1)] * sum(den.values())
+    for a, b in factors:
+        out = dict(poly)
+        for (x, y), c in poly.items():
+            out[(x + a, y + b)] = out.get((x + a, y + b), 0) - c
+        poly = {m: c for m, c in out.items() if c}
+    return poly
+
+
+def _reference_sums(shared, terms):
+    sums = {}
+    for content, num, den in terms:
+        slot = sums.setdefault(content, {})
+        lift = _reference_lift(shared, den)
+        for (a, b), c in num.items():
+            for (x, y), d in lift.items():
+                slot[(a + x, b + y)] = slot.get((a + x, b + y), 0) + c * d
+    return {k: {m: c for m, c in v.items() if c} for k, v in sums.items()}
+
+
+def _packed_sums(shared, batches):
+    """Feed each batch of (content, num, den) terms and flush after it."""
+    acc = ContentAccumulator(shared)
+    for batch in batches:
+        for content, num, den in batch:
+            acc.add(content, num, den)
+        acc.flush()
+    sums = acc.sums
+    assert not acc._packed          # unpacking drops the packed integers
+    return sums
+
+
+PACK_FACTORS = [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (3, 0), (0, 2)]
+CANCEL = (9, 9)                     # the content whose terms cancel exactly
+coefficients = st.one_of(st.integers(-300, 300).filter(bool),
+                         st.integers(-(1 << 70), 1 << 70).filter(bool))
+
+
+@st.composite
+def packed_cases(draw):
+    shared = draw(st.lists(st.sampled_from(PACK_FACTORS), max_size=5))
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        # each batch moves its exponents, so later flushes leave the window
+        dq, dt = draw(st.integers(-6, 6)), draw(st.integers(-9, 9))
+        batch = []
+        for _ in range(draw(st.integers(0, 6))):
+            content = draw(st.sampled_from([(2, 0), (1, 1), (0, 2)]))
+            mono = (draw(st.integers(-2, 2)) + dq, draw(st.integers(-2, 2)) + dt)
+            picks = draw(st.lists(st.booleans(), min_size=len(shared),
+                                  max_size=len(shared)))
+            den = Counter(f for f, keep in zip(shared, picks) if keep)
+            batch.append((content, {mono: draw(coefficients)}, den))
+        batches.append(batch)
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.booleans(), min_size=len(shared),
+                              max_size=len(shared)))
+        den = Counter(f for f, keep in zip(shared, picks) if keep)
+        c = draw(coefficients)
+        batches[draw(st.integers(0, len(batches) - 1))].append(
+            (CANCEL, {(1, -3): c}, den))
+        batches[-1].append((CANCEL, {(1, -3): -c}, den))
+    return shared, batches
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_cases())
+@example(([(0, 1), (1, 1)], [[((2, 0), {(0, 0): 1}, Counter())],
+                            [((2, 0), {(-3, -7): -(1 << 70)}, Counter([(0, 1)]))]]))
+@example(([], [[((2, 0), {(0, 0): 200}, Counter())]]))
+def test_packed_accumulator_matches_dict_reference(case):
+    shared, batches = case
+    terms = [term for batch in batches for term in batch]
+    want = _reference_sums(shared, terms)
+    got = _packed_sums(shared, batches)
+    assert got == want
+    if any(content == CANCEL for content, _, _ in terms):
+        assert got[CANCEL] == {}
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_digit_boundaries(bits, sign):
+    # with no lift factors the bound is the coefficient itself, so these sit
+    # exactly on either side of a digit width
+    for c in ((1 << (bits - 1)) - 1, 1 << (bits - 1), (1 << bits) - 1):
+        terms = [((1, 0), {(0, 0): sign * c, (1, 2): -sign * c}, Counter()),
+                 ((1, 0), {(0, 1): sign * c}, Counter())]
+        assert _packed_sums([], [terms]) == _reference_sums([], terms)
+
+
+def test_packed_repack_keeps_earlier_sums():
+    shared = [(0, 1), (1, 1), (2, 1)]
+    batches = [
+        [((1, 1), {(0, 0): 1}, Counter([(1, 1)]))],
+        [((1, 1), {(4, 9): 3}, Counter([(0, 1), (2, 1)])),
+         ((0, 2), {(0, 0): 5}, Counter())],
+        [((1, 1), {(-5, -12): 1 << 70}, Counter([(1, 1), (2, 1)]))],
+    ]
+    terms = [term for batch in batches for term in batch]
+    assert _packed_sums(shared, batches) == _reference_sums(shared, terms)
 
 
 def test_canonical_strings():
