@@ -37,7 +37,6 @@ from .fillings import (
     count_nonattacking,
     enumerate_nonattacking,
     filling_stats,
-    hhl_nonattacking_count,
     reading_precedes,
 )
 from .oracle import (

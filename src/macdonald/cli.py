@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .chain import NonRegularError, Partition, build_chain, render_chain
 from .compression import verify_all_classes
-from .fillings import compressed_sum
+from .fillings import check_filling_cap, compressed_sum
 from .oracle import check_specializations
 from .parallel import parallel_count, resolve_jobs
 from .qt import (
@@ -28,7 +28,12 @@ from .qt import (
     symfun_json_obj,
     symfun_str,
 )
-from .ramyip import TermCapExceeded, check_term_cap, ram_yip_sum
+from .ramyip import (
+    TermCapExceeded,
+    check_term_cap,
+    folding_pairs_text,
+    ram_yip_sum,
+)
 
 TABLE_SHAPES: list[tuple[tuple[int, ...], int]] = [
     ((3, 2, 1, 0), 4),
@@ -340,6 +345,7 @@ def cmd_table(args) -> int:
 def cmd_bench(args) -> int:
     lam = _parse_partition(args.lam, args.n)
     n = lam.n
+    check_filling_cap(lam, n)     # both counts below need it; fail before any work
 
     def timed(label, fn):
         start = time.perf_counter()
@@ -348,7 +354,7 @@ def cmd_bench(args) -> int:
         return result
 
     chain = timed("build-chain", lambda: build_chain(lam))
-    print(f"  m = {chain.m}, folding pairs = {(1 << chain.m) * math.factorial(n)}")
+    print(f"  m = {chain.m}, folding pairs = {folding_pairs_text(chain)}")
     t_count = timed("count-paper", lambda: parallel_count(lam, n, "paper", args.jobs))
     print(f"  t(lambda) = {t_count}")
     timed("count-hhl", lambda: parallel_count(lam, n, "hhl", args.jobs))

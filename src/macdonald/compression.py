@@ -44,7 +44,7 @@ from .qt import (
     rational_reduce,
     rational_str,
 )
-from .ramyip import FoldingPair, _walk_term_raw, check_term_cap
+from .ramyip import FoldingPair, _fold_data, _walk_term_raw, check_term_cap
 from .weyl import (
     Perm,
     all_perms,
@@ -242,34 +242,46 @@ def class_sum(pairs: list[FoldingPair], chain: LambdaChain,
 
     Every walk term of the fiber is built and its content checked; the terms
     of the expected content are summed over the lcm of the fiber's own
-    denominators rather than the whole chain's.  A bare term over ``den``
-    is lifted to that lcm by the factor multiset ``lcm - den`` plus
-    ``(1-t)^|den|``; terms are grouped by that lift key and each group is
-    multiplied by its lift polynomial once.  ``lifts`` memoises those
-    polynomials by key: ``verify_all_classes`` passes one dict for all of
-    its fibers, which share most keys, so it lives for one call.  The sum is
-    returned over the lcm unreduced; ``RationalQT`` equality is semantic.
+    denominators rather than the whole chain's.  Pairs are grouped by fold
+    set, whose fold data (``ramyip._fold_data``) and denominator are shared
+    by all of the set's terms.  A bare term over ``den`` is lifted to that
+    lcm by the factor multiset ``lcm - den`` plus ``(1-t)^|den|``; terms are
+    grouped by that lift key and each group is multiplied by its lift
+    polynomial once.  ``lifts`` memoises those polynomials by key:
+    ``verify_all_classes`` passes one dict for all of its fibers, which
+    share most keys, so it lives for one call.  The sum is returned over the
+    lcm unreduced; ``RationalQT`` equality is semantic.
     """
     if lifts is None:
         lifts = {}
-    terms = [_walk_term_raw(pair.w, sorted(pair.folds), chain) for pair in pairs]
+    by_folds: dict[frozenset[int], list[Perm]] = {}
+    for pair in pairs:
+        by_folds.setdefault(pair.folds, []).append(pair.w)
+    batches = []
     lcm: Counter = Counter()
-    for _, den, _ in terms:
-        lcm |= den
+    for folds, perms in by_folds.items():
+        fold_list = sorted(folds)
+        fold_data = _fold_data(fold_list, chain)
+        lcm |= fold_data[1]
+        batches.append((fold_list, fold_data, perms))
     groups: dict[frozenset, Laurent] = {}
     contents_ok = True
-    for num, den, content in terms:
-        if content != expected_content:
-            contents_ok = False
-            continue
+    for fold_list, fold_data, perms in batches:
+        den = fold_data[1]
         key = frozenset(
             (lcm - den + Counter({ONE_MINUS_T: sum(den.values())})).items()
         )
-        slot = groups.get(key)
-        if slot is None:
-            groups[key] = dict(num)
-        else:
-            _add_into(slot, num)
+        for w in perms:
+            num, _den, content = _walk_term_raw(w, fold_list, chain,
+                                                fold_data=fold_data)
+            if content != expected_content:
+                contents_ok = False
+                continue
+            slot = groups.get(key)
+            if slot is None:
+                groups[key] = dict(num)
+            else:
+                _add_into(slot, num)
     total: Laurent = {}
     for key, num in groups.items():
         lift = lifts.get(key)

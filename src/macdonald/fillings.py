@@ -21,15 +21,26 @@ The compressed formula for the Macdonald polynomial P_lambda(X;q,t) sums
 t^(n(lambda)-inv) q^maj prod_{u in Diff} (1-t)/(1-q^arm(u) t^(leg(u)+1))
 x^content over all nonattacking fillings; its terms are exactly the fiber
 sums of the alcove-walk formula under the filling map.
+
+Attacks and every statistic couple only a column and its neighbour, so the
+fillings are walks through a ``ColumnTable``: states are one column's value
+tuple, steps go to the admissible tuples of the next column and carry their
+share of the statistics (the transfer-matrix method, Stanley, EC I 4.7).
+Enumeration is a depth-first walk in reading-order-lex order, counting
+pushes a vector of first columns through the steps, and ``_term_raw`` sums a
+filling's state and step weights.  Tables are built lazily, only as far as
+the walk reaches, per (parts, n, convention) by the cached ``column_table``;
+callers check the filling cap first.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .chain import Partition
 from .qt import (
@@ -202,69 +213,6 @@ def filling_stats(sigma: Filling) -> FillingStats:
     )
 
 
-def _enumerate_values(
-    shape: Shape, n: int, attackers: tuple[tuple[int, ...], ...],
-    prefix: tuple[int, ...] = (),
-) -> Iterator[tuple[int, ...]]:
-    """All admissible value tuples extending prefix, lexicographically."""
-    ncells = len(shape.cells)
-    chosen = list(prefix) + [0] * (ncells - len(prefix))
-
-    def rec(idx: int) -> Iterator[tuple[int, ...]]:
-        if idx == ncells:
-            yield tuple(chosen)
-            return
-        banned = {chosen[kdx] for kdx in attackers[idx]}
-        for v in range(1, n + 1):
-            if v not in banned:
-                chosen[idx] = v
-                yield from rec(idx + 1)
-        chosen[idx] = 0
-
-    for kdx in range(len(prefix)):
-        if any(chosen[kdx] == chosen[a] for a in attackers[kdx]):
-            return
-    yield from rec(len(prefix))
-
-
-def enumerate_nonattacking(lam: Partition, n: int) -> Iterator[Filling]:
-    """Every nonattacking filling exactly once, in reading-order-lex order."""
-    shape = shape_of(lam.parts)
-    for values in _enumerate_values(shape, n, shape.attackers):
-        yield Filling(lam.parts, n, values)
-
-
-def _count_values(
-    shape: Shape, n: int, attackers: tuple[tuple[int, ...], ...],
-    prefix: tuple[int, ...] = (),
-) -> int:
-    """Backtracking count of admissible value tuples extending prefix."""
-    ncells = len(shape.cells)
-    chosen = list(prefix) + [0] * (ncells - len(prefix))
-    full_mask = (1 << (n + 1)) - 2      # bits 1..n
-
-    def rec(idx: int) -> int:
-        banned = 0
-        for kdx in attackers[idx]:
-            banned |= 1 << chosen[kdx]
-        free = full_mask & ~banned
-        if idx == ncells - 1:
-            return free.bit_count()
-        total = 0
-        for v in range(1, n + 1):
-            if free & (1 << v):
-                chosen[idx] = v
-                total += rec(idx + 1)
-        return total
-
-    for kdx in range(len(prefix)):
-        if any(chosen[kdx] == chosen[a] for a in attackers[kdx]):
-            return 0
-    if ncells == len(prefix):
-        return 1
-    return rec(len(prefix))
-
-
 def check_filling_cap(lam: Partition, n: int, cap: int | None = None) -> int:
     """Bound the fillings before any work starts; raise past the term cap.
 
@@ -285,76 +233,297 @@ def check_filling_cap(lam: Partition, n: int, cap: int | None = None) -> int:
     return total
 
 
+class _State:
+    """One column's value tuple, with its admissible steps to the next column."""
+
+    __slots__ = ("values", "column", "weight", "succ")
+
+    def __init__(self, values: tuple[int, ...], column: int, weight: int):
+        self.values = values
+        self.column = column
+        self.weight = weight
+        # {next column's values: (packed weight of the step, next state)},
+        # in lexicographic order; None until the state is first visited
+        self.succ: dict[tuple[int, ...], tuple[int, _State]] | None = None
+
+
+class ColumnTable:
+    """The column states and transitions of one shape's nonattacking fillings.
+
+    Cells attack only within a column or across adjacent columns, so a
+    filling is a sequence of column value tuples, column 1 first, in which
+    each column is admissible given the one before it.  A state is one
+    column's tuple; its successors are the admissible tuples of the next
+    column, in lexicographic order, so walking the states depth first yields
+    the fillings in reading-order-lex order.  States are made when first
+    reached and their successors are built on the first visit, so the table
+    never holds more than the walk over it reaches.
+
+    Every statistic of the compressed term is a sum of per-column and
+    per-step parts: a column's content and inversions among its own cells;
+    a step's inversions across the two columns, its Diff cells, and the arms
+    and legs of its Des cells.  Each state and each step carries its part as
+    one packed integer with four fields, low to high: maj, a bit per Diff
+    cell, a count per value, and on top the t-exponent ``n(lambda) - inv``.
+    A step's weight includes the next state's own part, so a filling's
+    packed statistics are its first state's weight plus its steps' weights.
+    The lower fields only grow and a complete filling's sums fit their
+    widths; the top field may take any sign, and the arithmetic shift reads
+    it back exactly.
+
+    ``dens`` and ``contents`` memoise the decoded Diff multisets (one shared
+    ``Counter`` per multiset) and content tuples.  The table is built per
+    ``(parts, n, convention)`` by ``column_table`` and held only by its
+    cache; the statistics follow the convention's attack relation, and only
+    the paper convention's are terms of the compressed formula.
+    """
+
+    def __init__(self, parts: tuple[int, ...], n: int, convention: str):
+        shape = shape_of(parts)
+        if convention == "paper":
+            attackers = shape.attackers
+        elif convention == "hhl":
+            attackers = shape.attackers_hhl
+        else:
+            raise ValueError(f"unknown convention {convention!r}")
+        self.n = n
+        self.n_lambda = shape.n_lambda
+        self.diff_factor = shape.diff_factor
+        heights = shape.conjugate
+        self.starts = starts = [0, *itertools.accumulate(heights)]
+        self.first_height = heights[0]
+        self.slices = tuple(zip(starts[1:-1], starts[2:]))
+        # per column and row: the rows of the previous column and of the same
+        # column whose cells attack this one (all read earlier)
+        self.rows = tuple(
+            tuple(
+                (tuple(k - starts[j - 1] for k in attackers[idx] if k < starts[j]),
+                 tuple(k - starts[j] for k in attackers[idx] if k >= starts[j]))
+                for idx in range(starts[j], starts[j + 1])
+            )
+            for j in range(len(heights))
+        )
+        self.states: list[dict[tuple[int, ...], _State]] = [{} for _ in heights]
+        self.dens: dict[int, Counter] = {}
+        self.contents: dict[int, Content] = {}
+        self._den_by_multiset: dict[tuple[DenomFactor, ...], Counter] = {}
+
+        inner = [f for f, lft in zip(shape.diff_factor, shape.left_index) if lft >= 0]
+        self.dshift = sum(a for a, _b in inner).bit_length()    # maj is lowest
+        self.cshift = self.dshift + len(shape.cells)
+        self.cbits = len(heights).bit_length()   # a value fills <= 1 cell per column
+        self.tshift = self.cshift + self.cbits * n
+        self.mmask = (1 << self.dshift) - 1
+        self.dmask = (1 << len(shape.cells)) - 1
+        self.cmask = (1 << (self.tshift - self.cshift)) - 1
+
+    def column_tuples(self, j: int, left: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """Admissible tuples of column j after ``left``, lexicographically."""
+        rows = self.rows[j]
+        height = len(rows)
+        banned = [{left[k] for k in prev} for prev, _above in rows]
+        chosen = [0] * height
+        values = range(1, self.n + 1)
+
+        def rec(i: int) -> Iterator[tuple[int, ...]]:
+            bad = banned[i].union([chosen[k] for k in rows[i][1]])
+            for v in values:
+                if v not in bad:
+                    chosen[i] = v
+                    if i + 1 == height:
+                        yield tuple(chosen)
+                    else:
+                        yield from rec(i + 1)
+
+        return rec(0)
+
+    def _column_weight(self, j: int, d: tuple[int, ...]) -> int:
+        """Packed content and within-column inversions of tuple d in column j."""
+        t_exp = self.n_lambda if j == 0 else 0
+        weight = 0
+        for (_prev, above), v in zip(self.rows[j], d):
+            weight += 1 << (self.cshift + self.cbits * (v - 1))
+            t_exp -= sum(1 for k in above if d[k] > v)
+        return weight + (t_exp << self.tshift)
+
+    def _step_weight(self, j: int, c: tuple[int, ...], d: tuple[int, ...]) -> int:
+        """Packed statistics of the step from c in column j to d in column j+1.
+
+        Columns are counted from 0 here.  Row i of the step pairs a cell of
+        column j with its left neighbour in column j+1: the cell is in Diff
+        when the two values differ, and in Des when its own is the larger.
+        """
+        weight = t_exp = 0
+        for i, ((prev, _above), v) in enumerate(zip(self.rows[j + 1], d)):
+            t_exp -= sum(1 for k in prev if c[k] > v)
+            u = c[i]
+            if u != v:
+                idx = self.starts[j] + i
+                weight += 1 << (self.dshift + idx)
+                if u > v:
+                    arm, leg = self.diff_factor[idx]
+                    weight += arm
+                    t_exp += leg - 1
+        return weight + (t_exp << self.tshift)
+
+    def first_state(self, values: tuple[int, ...]) -> _State:
+        """The state of a first-column tuple; raises if it is not admissible."""
+        state = self.states[0].get(values)
+        if state is None:
+            rows = self.rows[0]
+            if len(values) != len(rows) or any(
+                not 1 <= v <= self.n or any(values[k] == v for k in above)
+                for (_prev, above), v in zip(rows, values)
+            ):
+                raise AttackViolation(f"first column {values} is not admissible")
+            state = self.states[0][values] = _State(
+                values, 0, self._column_weight(0, values))
+        return state
+
+    def successors(self, state: _State) -> dict[tuple[int, ...], tuple[int, _State]]:
+        """The state's steps to the next column, built on the first visit."""
+        succ = state.succ
+        if succ is None:
+            j, c = state.column, state.values
+            states = self.states[j + 1]
+            succ = state.succ = {}
+            for d in self.column_tuples(j + 1, c):
+                nxt = states.get(d)
+                if nxt is None:
+                    nxt = states[d] = _State(d, j + 1, self._column_weight(j + 1, d))
+                succ[d] = (self._step_weight(j, c, d) + nxt.weight, nxt)
+        return succ
+
+    def den(self, diff: int) -> Counter:
+        """The Diff multiset of a Diff-cell bit mask, one Counter per multiset."""
+        factors = tuple(sorted(self.diff_factor[idx] for idx in range(diff.bit_length())
+                               if diff >> idx & 1))
+        den = self._den_by_multiset.get(factors)
+        if den is None:
+            den = self._den_by_multiset[factors] = Counter(factors)
+        self.dens[diff] = den
+        return den
+
+    def content(self, counts: int) -> Content:
+        """The content tuple of a packed per-value count field."""
+        mask = (1 << self.cbits) - 1
+        content = self.contents[counts] = tuple(
+            counts >> (self.cbits * v) & mask for v in range(self.n))
+        return content
+
+
+@lru_cache(maxsize=None)
+def column_table(parts: tuple[int, ...], n: int, convention: str) -> ColumnTable:
+    return ColumnTable(parts, n, convention)
+
+
+def _enumerate_values(table: ColumnTable,
+                      firsts: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """Every admissible value tuple whose first column is one of firsts.
+
+    A depth-first walk over the column states, without recursion; for
+    first columns in lexicographic order the tuples come out in
+    reading-order-lex order.
+    """
+    depth = len(table.slices)
+    successors = table.successors
+    for first in firsts:
+        state = table.first_state(first)
+        if not depth:
+            yield first
+            continue
+        heads = [first]
+        levels = [iter(successors(state).items())]
+        while levels:
+            head = heads[-1]
+            if len(levels) == depth:
+                for d, _step in levels.pop():
+                    yield head + d
+                heads.pop()
+                continue
+            for d, (_w, nxt) in levels[-1]:
+                heads.append(head + d)
+                levels.append(iter(successors(nxt).items()))
+                break
+            else:
+                levels.pop()
+                heads.pop()
+
+
+def enumerate_nonattacking(lam: Partition, n: int) -> Iterator[Filling]:
+    """Every nonattacking filling exactly once, in reading-order-lex order."""
+    table = column_table(lam.parts, n, "paper")
+    for values in _enumerate_values(table, table.column_tuples(0, ())):
+        yield Filling(lam.parts, n, values)
+
+
+def _count_values(table: ColumnTable, firsts: Iterable[tuple[int, ...]]) -> int:
+    """Count the fillings whose first column is one of firsts.
+
+    Transfer-matrix count: a vector of fillings per state, one per first
+    column, pushed through each column's steps.
+    """
+    vector = {table.first_state(first): 1 for first in firsts}
+    for _ in table.slices:
+        pushed: dict[_State, int] = {}
+        for state, count in vector.items():
+            for _w, nxt in table.successors(state).values():
+                pushed[nxt] = pushed.get(nxt, 0) + count
+        vector = pushed
+    return sum(vector.values())
+
+
 def count_nonattacking(lam: Partition, n: int, convention: str = "paper") -> int:
     """Number of nonattacking fillings under either attack convention."""
     check_filling_cap(lam, n)
-    shape = shape_of(lam.parts)
-    if convention == "paper":
-        attackers = shape.attackers
-    elif convention == "hhl":
-        attackers = shape.attackers_hhl
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return _count_values(shape, n, attackers)
-
-
-def hhl_nonattacking_count(lam: Partition, n: int) -> int:
-    return count_nonattacking(lam, n, convention="hhl")
+    table = column_table(lam.parts, n, convention)
+    return _count_values(table, table.column_tuples(0, ()))
 
 
 def column_prefixes(lam: Partition, n: int,
                     convention: str = "paper") -> list[tuple[int, ...]]:
     """Admissible assignments of the first column, used as work shards."""
-    shape = shape_of(lam.parts)
-    attackers = shape.attackers if convention == "paper" else shape.attackers_hhl
-    height = shape.conjugate[0]
-    prefixes: list[tuple[int, ...]] = []
-
-    def rec(acc: list[int]) -> None:
-        if len(acc) == height:
-            prefixes.append(tuple(acc))
-            return
-        banned = {acc[k] for k in attackers[len(acc)]}
-        for v in range(1, n + 1):
-            if v not in banned:
-                acc.append(v)
-                rec(acc)
-                acc.pop()
-
-    rec([])
-    return prefixes
+    return list(column_table(lam.parts, n, convention).column_tuples(0, ()))
 
 
 def _term_raw(shape: Shape, vals: tuple[int, ...], n: int):
     """Bare numerator, denominator multiset, and content of one filling term.
 
     The numerator is the monomial q^maj t^(n(lambda)-inv) alone; the term's
-    value is num * (1-t)^|den| / prod(den) (see ``qt.term_value``).
+    value is num * (1-t)^|den| / prod(den) (see ``qt.term_value``).  The
+    statistics are the sum of the filling's column and step weights in the
+    paper convention's ``column_table``; the returned multiset is shared by
+    every term with the same Diff factors.  Raises ``AttackViolation`` when a
+    column is not admissible after the one before it.
     """
-    attackers, left_index, diff_factor = (
-        shape.attackers, shape.left_index, shape.diff_factor
-    )
-    diff_factors: list[DenomFactor] = []
-    maj = 0
-    inv_count = 0
-    leg_des = 0
-    for idx, v in enumerate(vals):
-        for kdx in attackers[idx]:
-            if vals[kdx] > v:
-                inv_count += 1
-        lft = left_index[idx]
-        if lft < 0 or v == vals[lft]:
-            continue
-        a, b = factor = diff_factor[idx]
-        diff_factors.append(factor)
-        if v > vals[lft]:
-            maj += a
-            leg_des += b - 1
-    inv = inv_count - leg_des
-    counts = [0] * n
-    for v in vals:
-        counts[v - 1] += 1
-    return {(maj, shape.n_lambda - inv): 1}, Counter(diff_factors), tuple(counts)
+    table = column_table(shape.parts, n, "paper")
+    head = vals[:table.first_height]
+    try:
+        state = table.states[0][head]
+    except KeyError:
+        state = table.first_state(head)
+    total = state.weight
+    try:
+        for a, b in table.slices:
+            succ = state.succ
+            if succ is None:
+                succ = table.successors(state)
+            weight, state = succ[vals[a:b]]
+            total += weight
+    except KeyError:
+        raise AttackViolation(
+            f"filling {vals} has an attacking pair with equal values") from None
+    diff = total >> table.dshift & table.dmask
+    try:
+        den = table.dens[diff]
+    except KeyError:
+        den = table.den(diff)
+    counts = total >> table.cshift & table.cmask
+    try:
+        content = table.contents[counts]
+    except KeyError:
+        content = table.content(counts)
+    return {(total & table.mmask, total >> table.tshift): 1}, den, content
 
 
 def compressed_term(sigma: Filling) -> tuple[RationalQT, Content]:
@@ -382,11 +551,11 @@ def compressed_shard(lam: Partition, n: int,
     shard, and each group is lifted once when the shard ends.
     """
     shape = shape_of(lam.parts)
+    table = column_table(lam.parts, n, "paper")
     acc = ContentAccumulator(diagram_denominator(shape))
-    for prefix in prefixes:
-        for vals in _enumerate_values(shape, n, shape.attackers, prefix):
-            num, den, content = _term_raw(shape, vals, n)
-            acc.add(content, num, den)
+    for vals in _enumerate_values(table, prefixes):
+        num, den, content = _term_raw(shape, vals, n)
+        acc.add(content, num, den)
     acc.flush()
     return acc
 

@@ -18,7 +18,9 @@ from .fillings import (
     _count_values,
     check_filling_cap,
     column_prefixes,
+    column_table,
     compressed_shard,
+    diagram_denominator,
     shape_of,
 )
 from .qt import ContentAccumulator, SymFun
@@ -48,6 +50,18 @@ def _chunks(items: list, k: int) -> list[list]:
     return [c for c in out if c]
 
 
+def _merge_into(acc: ContentAccumulator, shard_sums) -> None:
+    """Add each shard's lifted sums to acc as it arrives, in shard order.
+
+    A shard's dict is dropped before the next one is awaited, so the parent
+    holds the merged sums and at most two shards' (one arriving).
+    """
+    for sums in shard_sums:
+        for content, num in sums.items():
+            acc.add_lifted(content, num)
+        sums = num = None
+
+
 def _ry_worker(args) -> dict:
     parts, perms = args
     chain = build_chain(Partition(parts))
@@ -60,9 +74,7 @@ def parallel_ram_yip_sum(lam: Partition, n: int, jobs: int) -> SymFun:
     shards = _chunks(all_perms(n), jobs)
     acc = ContentAccumulator(chain_denominator(chain))
     with get_context().Pool(len(shards)) as pool:
-        for sums in pool.map(_ry_worker, [(lam.parts, s) for s in shards]):
-            for content, num in sums.items():
-                acc.add_lifted(content, num)
+        _merge_into(acc, pool.imap(_ry_worker, [(lam.parts, s) for s in shards]))
     return acc.finalize()
 
 
@@ -72,23 +84,17 @@ def _fill_worker(args) -> dict:
 
 
 def parallel_compressed_sum(lam: Partition, n: int, jobs: int) -> SymFun:
-    from .fillings import diagram_denominator
-
     shape = shape_of(lam.parts)
     shards = _chunks(column_prefixes(lam, n), jobs)
     acc = ContentAccumulator(diagram_denominator(shape))
     with get_context().Pool(len(shards)) as pool:
-        for sums in pool.map(_fill_worker, [(lam.parts, n, s) for s in shards]):
-            for content, num in sums.items():
-                acc.add_lifted(content, num)
+        _merge_into(acc, pool.imap(_fill_worker, [(lam.parts, n, s) for s in shards]))
     return acc.finalize()
 
 
 def _count_worker(args) -> int:
     parts, n, convention, prefixes = args
-    shape = shape_of(parts)
-    attackers = shape.attackers if convention == "paper" else shape.attackers_hhl
-    return sum(_count_values(shape, n, attackers, prefix) for prefix in prefixes)
+    return _count_values(column_table(parts, n, convention), prefixes)
 
 
 def parallel_count(lam: Partition, n: int, convention: str, jobs: int) -> int:

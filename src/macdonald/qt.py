@@ -63,10 +63,6 @@ def l_one() -> Laurent:
     return {(0, 0): 1}
 
 
-def l_monomial(a: int, b: int, coef: int = 1) -> Laurent:
-    return {(a, b): coef} if coef else {}
-
-
 def binomial_factor(a: int, b: int) -> Laurent:
     """The Laurent polynomial 1 - q^a t^b."""
     _check_factor((a, b))
@@ -438,7 +434,10 @@ class ContentAccumulator:
     monomial q^a t^b for both formulas) standing for
     ``num * (1-t)^|den| / prod(den)``, where ``den`` is a sub-multiset of the
     shared denominator.  Nothing is multiplied out on ``add``: numerators are
-    summed into a group keyed by ``den`` and ``content``.  ``flush`` lifts each
+    summed into a group keyed by ``den`` and ``content``.  The group of each
+    ``den`` object is memoised by identity until the next flush, so callers
+    that pass one shared multiset for many terms freeze it into a key once;
+    ``den`` must not be changed after it is passed.  ``flush`` lifts each
     group once, by ``(1-t)^|den|`` times the binomials of the shared
     denominator that ``den`` lacks, into the per-content sums; ``sums`` and
     ``finalize`` flush first, and ``merge`` takes the other accumulator's
@@ -467,16 +466,24 @@ class ContentAccumulator:
         self._den_tuple = tuple(sorted(self.den.elements()))
         self._lifted: dict[Content, Laurent] = {}
         self._groups: dict[frozenset, dict[Content, Laurent]] = {}
+        # the group of each ``den`` object passed to ``add`` since the last
+        # flush; holding the object keeps its id from being reused meanwhile
+        self._den_groups: dict[int, tuple[Counter, dict[Content, Laurent]]] = {}
         self._packed: dict[Content, int] = {}
         self._window: tuple[int, int, int, int] | None = None  # qlo, tlo, span, bits
         self._bound = 0         # bound on every |coefficient| of the packed sums
         self._lift_tdeg = sum(max(b, 1) * mult for (_a, b), mult in self.den.items())
 
     def add(self, content: Content, num: Laurent, den: Counter[DenomFactor]) -> None:
-        key = frozenset(den.items())
-        group = self._groups.get(key)
-        if group is None:
-            group = self._groups[key] = {}
+        memo = self._den_groups.get(id(den))
+        if memo is None:
+            key = frozenset(den.items())
+            group = self._groups.get(key)
+            if group is None:
+                group = self._groups[key] = {}
+            self._den_groups[id(den)] = (den, group)
+        else:
+            group = memo[1]
         slot = group.get(content)
         if slot is None:
             group[content] = dict(num)
@@ -510,6 +517,7 @@ class ContentAccumulator:
                     total += (lift * c) << bits * ((a - qlo) * span + b - tlo)
                 packed[content] = total
         self._groups.clear()
+        self._den_groups.clear()
 
     def _packed_lift(self, den: dict[DenomFactor, int]) -> int:
         """(1-t)^|den| times the binomials ``den`` lacks, as a packed integer."""
@@ -577,10 +585,15 @@ class ContentAccumulator:
             self.add_lifted(content, num)
 
     def finalize(self) -> SymFun:
+        """Reduce each content's sum; this empties the accumulator.
+
+        Each lifted sum is dropped as soon as it is reduced, so the lifted and
+        the reduced forms of the whole expansion are never held at once.
+        """
         out: SymFun = {}
         sums = self.sums
         for content in sorted(sums):
-            num = sums[content]
+            num = sums.pop(content)
             if not num:
                 continue
             coef = rational_reduce(RationalQT(num, self._den_tuple))

@@ -50,14 +50,22 @@ def term_cap() -> int:
     return int(raw) if raw else DEFAULT_TERM_CAP
 
 
-def check_term_cap(chain: LambdaChain, cap: int | None = None) -> int:
+def folding_pairs_text(chain: LambdaChain) -> str:
+    """The folding-pair count 2^m * n!, written as that formula past 1024 bits.
+
+    Python refuses to convert an int of over 4300 digits to text.
+    """
     n = chain.partition.n
     total = (1 << chain.m) * math.factorial(n)
+    return str(total) if total.bit_length() <= 1024 else f"2^{chain.m} * {n}!"
+
+
+def check_term_cap(chain: LambdaChain, cap: int | None = None) -> int:
+    total = (1 << chain.m) * math.factorial(chain.partition.n)
     cap = term_cap() if cap is None else cap
     if total > cap:
-        # a count past Python's int-to-str digit limit is shown as a formula
-        shown = total if total.bit_length() <= 1024 else f"2^{chain.m} * {n}!"
-        raise TermCapExceeded(f"{shown} folding pairs exceed the term cap {cap}")
+        raise TermCapExceeded(
+            f"{folding_pairs_text(chain)} folding pairs exceed the term cap {cap}")
     return total
 
 

@@ -36,12 +36,6 @@ def perm_mul(u: Perm, v: Perm) -> Perm:
     return tuple(u[x - 1] for x in v)
 
 
-def check_root(r: Root, n: int) -> None:
-    i, k = r
-    if not (1 <= i < k <= n):
-        raise ValueError(f"invalid root {r!r} for n={n}")
-
-
 def right_mul_transposition(w: Perm, r: Root) -> Perm:
     """w * (i,k): swaps the entries of w at positions i and k."""
     i, k = r
@@ -54,11 +48,6 @@ def is_bruhat_descent(w: Perm, r: Root) -> bool:
     """True iff length drops on the right by (i,k), i.e. w(i) > w(k)."""
     i, k = r
     return w[i - 1] > w[k - 1]
-
-
-def root_height(r: Root) -> int:
-    """Pairing of the coroot of (i,k) with rho: equals k - i."""
-    return r[1] - r[0]
 
 
 def affine_reflect(mu: Weight, r: Root, level: int) -> Weight:

@@ -43,3 +43,23 @@ def test_tracer_hooks_resolve_and_count_walk_terms(tmp_path):
     pairs = (1 << build_chain(Partition((2, 1, 0))).m) * math.factorial(3)
     assert stats.calls["ramyip._walk_term_raw"] == pairs
     assert stats.calls["qt.ContentAccumulator.add"] == pairs
+
+
+def test_tracer_counts_filling_terms_and_reaches_the_count(tmp_path):
+    tracer = _load_layers().Tracer(tmp_path)
+    assert tracer.absent == []
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            compute = main(["compute", "--lambda", "3,2,1,0", "--formula",
+                            "compressed", "--jobs", "1"])
+            count = main(["count", "--lambda", "3,2,1,0", "--jobs", "1"])
+    finally:
+        tracer.uninstall()
+    assert (compute, count) == (0, 0)
+    assert out.getvalue().splitlines()[-1] == "288"
+    stats = tracer.collect()
+    assert stats.broken == set()
+    assert stats.calls["fillings._term_raw"] == 288
+    assert stats.calls["qt.ContentAccumulator.add"] == 288
+    assert stats.calls["fillings._count_values"] >= 1

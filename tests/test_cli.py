@@ -80,6 +80,7 @@ def test_term_cap_exits_3(capsys, monkeypatch):
     ["count", "--lambda", "100000,0"],
     ["count", "--lambda", "100000,0", "--convention", "hhl", "--jobs", "2"],
     ["verify", "--per-class", "--lambda", "100000,0"],
+    ["bench", "--lambda", "100000,0"],
 ])
 def test_filling_paths_exit_3_before_any_work(capsys, argv):
     start = time.perf_counter()
@@ -240,6 +241,7 @@ def test_bench_runs(capsys):
     code, out, _ = run_cli(capsys, ["bench", "--lambda", "2,1,0", "-n", "3"])
     assert code == 0
     assert "build-chain" in out and "compressed" in out
+    assert "  m = 1, folding pairs = 12\n" in out
 
 
 def test_jobs_env_var_not_an_integer_exits_2(capsys, monkeypatch):

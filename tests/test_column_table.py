@@ -1,0 +1,127 @@
+"""The column tables against brute force on random small shapes.
+
+Enumeration, counting and filling terms all run on ``fillings.column_table``.
+Here they are checked against references that do not use it: every
+column-injective value tuple, filtered by the attacker lists and sorted, and
+``filling_stats`` for the term of each filling.
+"""
+
+import itertools
+import math
+from collections import Counter
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from macdonald.chain import Partition
+from macdonald.fillings import (
+    AttackViolation,
+    ColumnTable,
+    Filling,
+    _count_values,
+    _enumerate_values,
+    _term_raw,
+    column_table,
+    count_nonattacking,
+    enumerate_nonattacking,
+    filling_stats,
+    shape_of,
+)
+
+MAX_CANDIDATES = 20_000      # column-injective tuples a brute force may scan
+
+
+@st.composite
+def small_shapes(draw):
+    """A regular partition and a variable count n <= 5, brute-forceable."""
+    rows = draw(st.integers(1, 3))
+    parts = sorted(draw(st.sets(st.integers(1, 5), min_size=rows, max_size=rows)),
+                   reverse=True)
+    lam = Partition(parts + [0])
+    n = draw(st.integers(lam.n, 5))
+    assume(math.prod(math.perm(n, h) for h in lam.conjugate) <= MAX_CANDIDATES)
+    return lam, n
+
+
+def brute_force(lam, n, convention):
+    """Sorted nonattacking tuples among all column-injective ones."""
+    shape = shape_of(lam.parts)
+    attackers = shape.attackers if convention == "paper" else shape.attackers_hhl
+    columns = [itertools.permutations(range(1, n + 1), h) for h in lam.conjugate]
+    out = []
+    for combo in itertools.product(*columns):
+        vals = sum(combo, ())
+        if all(vals[i] != vals[k] for i in range(len(vals)) for k in attackers[i]):
+            out.append(vals)
+    return sorted(out)
+
+
+def reference_term(lam, n, vals):
+    """q^maj t^(n(lambda)-inv), the Diff factors and the content, by filling_stats."""
+    shape = shape_of(lam.parts)
+    stats = filling_stats(Filling(lam.parts, n, vals))
+    den = Counter(shape.diff_factor[shape.pos[cell]] for cell in stats.diff)
+    return {(stats.maj, shape.n_lambda - stats.inv): 1}, den, stats.content
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_shapes(), st.sampled_from(["paper", "hhl"]))
+def test_walk_and_count_equal_brute_force(shape_n, convention):
+    lam, n = shape_n
+    want = brute_force(lam, n, convention)
+    table = column_table(lam.parts, n, convention)
+    firsts = list(table.column_tuples(0, ()))
+    assert list(_enumerate_values(table, firsts)) == want
+    assert _count_values(table, firsts) == len(want)
+    assert count_nonattacking(lam, n, convention) == len(want)
+    if convention == "paper":
+        assert [f.values for f in enumerate_nonattacking(lam, n)] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_shapes(), st.data())
+def test_term_raw_equals_filling_stats(shape_n, data):
+    lam, n = shape_n
+    fillings = brute_force(lam, n, "paper")
+    shape = shape_of(lam.parts)
+    picks = data.draw(st.lists(st.sampled_from(fillings), min_size=1, max_size=30))
+    for vals in picks:
+        assert _term_raw(shape, vals, n) == reference_term(lam, n, vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_shapes(), st.data())
+def test_term_raw_rejects_attacking_tuples(shape_n, data):
+    lam, n = shape_n
+    shape = shape_of(lam.parts)
+    vals = tuple(data.draw(st.lists(st.integers(1, n), min_size=len(shape.cells),
+                                    max_size=len(shape.cells))))
+    if Filling(lam.parts, n, vals).is_nonattacking():
+        assert _term_raw(shape, vals, n) == reference_term(lam, n, vals)
+    else:
+        with pytest.raises(AttackViolation):
+            _term_raw(shape, vals, n)
+
+
+def test_terms_share_one_counter_per_diff_multiset():
+    lam = Partition((3, 2, 1, 0))
+    shape = shape_of(lam.parts)
+    dens = {}
+    for sigma in enumerate_nonattacking(lam, 4):
+        _num, den, _content = _term_raw(shape, sigma.values, 4)
+        key = tuple(sorted(den.elements()))
+        assert dens.setdefault(key, den) is den
+    assert len(dens) > 1
+
+
+def test_table_builds_only_what_the_walk_reaches():
+    lam = Partition((5, 4, 2, 1, 0))
+    table = ColumnTable(lam.parts, 5, "paper")
+    first = (2, 4, 1, 3)
+    walked = list(_enumerate_values(table, [first]))
+    assert len(walked) == _count_values(table, [first])
+    columns = [(0, table.first_height), *table.slices]
+    for j, (a, b) in enumerate(columns):
+        assert set(table.states[j]) == {vals[a:b] for vals in walked}
+    assert all(state.succ is None for state in table.states[-1].values())

@@ -192,8 +192,8 @@ def test_corrupted_walk_terms_fail_their_class(monkeypatch):
     assert len(pairs) == 2
     real = compression._walk_term_raw
 
-    def corrupted(w, folds, chain):
-        num, den, content = real(w, folds, chain)
+    def corrupted(w, folds, chain, *args, **kwargs):
+        num, den, content = real(w, folds, chain, *args, **kwargs)
         if FoldingPair(w, frozenset(folds)) in pairs:
             num = {m: 7 * c for m, c in num.items()}
         return num, den, content

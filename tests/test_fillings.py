@@ -13,7 +13,6 @@ from macdonald.fillings import (
     count_nonattacking,
     enumerate_nonattacking,
     filling_stats,
-    hhl_nonattacking_count,
     reading_precedes,
     shape_of,
 )
@@ -110,12 +109,12 @@ def test_paper_convention_counts(parts, n, count):
 
 
 def test_hhl_counts():
-    assert hhl_nonattacking_count(Partition((3, 2, 1, 0)), 4) == 864
-    assert hhl_nonattacking_count(Partition((1, 0)), 2) == 2
+    assert count_nonattacking(Partition((3, 2, 1, 0)), 4, "hhl") == 864
+    assert count_nonattacking(Partition((1, 0)), 2, "hhl") == 2
 
 
 def test_hhl_count_large_row():
-    assert hhl_nonattacking_count(Partition((4, 3, 2, 1, 0)), 5) == 259200
+    assert count_nonattacking(Partition((4, 3, 2, 1, 0)), 5, "hhl") == 259200
 
 
 def test_compressed_term_trivial():

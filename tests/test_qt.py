@@ -397,3 +397,19 @@ def test_canonical_strings():
     assert rational_str(two_den) == "(1)/((1 - q*t)*(1 - q*t^2))"
     P = {(1, 0): rational_one(), (0, 1): rational_one()}
     assert symfun_str(P) == "x[1,0] + x[0,1]"
+
+
+def test_accumulator_reuses_a_shared_den_across_flushes():
+    from collections import Counter
+
+    den = Counter([(1, 1)])
+    acc = ContentAccumulator([(1, 1)])
+    acc.add((1, 0), {(0, 0): 1}, den)
+    acc.flush()
+    acc.add((1, 0), {(1, 0): 1}, den)
+    acc.add((0, 1), {(0, 0): 1}, den)
+    out = acc.finalize()
+    # (1 + q)(1 - t)/(1 - q t) at x^(1,0), (1 - t)/(1 - q t) at x^(0,1)
+    assert out[(1, 0)] == RationalQT({(0, 0): 1, (1, 0): 1, (0, 1): -1, (1, 1): -1},
+                                     [(1, 1)])
+    assert out[(0, 1)] == RationalQT({(0, 0): 1, (0, 1): -1}, [(1, 1)])
