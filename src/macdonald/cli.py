@@ -15,7 +15,13 @@ import sys
 import time
 from fractions import Fraction
 
-from .chain import NonRegularError, Partition, build_chain, render_chain
+from .chain import (
+    InternalInvariantError,
+    NonRegularError,
+    Partition,
+    build_chain,
+    render_chain,
+)
 from .compression import verify_all_classes
 from .fillings import check_filling_cap, compressed_sum
 from .oracle import check_specializations
@@ -33,6 +39,7 @@ from .ramyip import (
     check_term_cap,
     folding_pairs_text,
     ram_yip_sum,
+    term_cap,
 )
 
 TABLE_SHAPES: list[tuple[tuple[int, ...], int]] = [
@@ -48,6 +55,9 @@ EXIT_INVALID = 2
 EXIT_CAP = 3
 
 BENCH_RAM_YIP_PAIRS = 1 << 16     # bench times ram-yip only up to this many pairs
+MAP_EXHAUSTIVE_PAIRS = 50000      # --map-properties checks every pair up to this many
+MAP_SAMPLES = 500                 # and this many seeded samples past it
+MAP_WITNESSES = 5000              # fillings whose witness --map-properties maps back
 
 
 def _parse_partition(raw: str, n: int | None) -> Partition:
@@ -176,6 +186,8 @@ def cmd_verify(args) -> int:
     else:
         lam = _parse_partition(args.lam, args.n)
         n = lam.n
+    if args.map_properties:
+        _check_map_properties_cap(lam)
     report: dict = {"lambda": list(lam.parts), "n": n, "checks": [], "ok": True}
 
     def add(name: str, ok: bool, detail: str = "") -> None:
@@ -248,12 +260,63 @@ def _input_check(P: SymFun, want: SymFun, formula: str) -> tuple[str, bool, str]
     return "input-matches", True, f"{len(want)} monomials equal the {formula} expansion"
 
 
+def _check_map_properties_cap(lam: Partition) -> None:
+    """Bound ``--map-properties`` before any work.
+
+    Each witness built and each sampled pair costs about one pass over the
+    cells, so the work is bounded by cells x (witnesses + samples); past the
+    term cap it raises ``TermCapExceeded``.
+    """
+    per_cell = MAP_WITNESSES + MAP_SAMPLES
+    cap = term_cap()
+    if lam.size * per_cell > cap:
+        raise TermCapExceeded(
+            f"map-properties work of {lam.size} cells x {per_cell} exceeds "
+            f"the term cap {cap}")
+
+
+def _map_pairs(chain, n: int):
+    """Every folding pair if there are few enough, else seeded samples."""
+    import random
+
+    from .weyl import all_perms
+
+    m = chain.m
+    perms = all_perms(n)
+    if (1 << m) * math.factorial(n) <= MAP_EXHAUSTIVE_PAIRS:
+        for w in perms:
+            for mask in range(1 << m):
+                yield w, [p for p in range(1, m + 1) if mask >> (p - 1) & 1]
+    else:
+        rng = random.Random(0)
+        for _ in range(MAP_SAMPLES):
+            w = rng.choice(perms)
+            yield w, sorted(rng.sample(range(1, m + 1), rng.randint(0, m)))
+
+
+def _map_pair_check(w, folds: list[int], chain, lam: Partition) -> tuple[bool, bool]:
+    """Whether one pair's walk term has even fold parity and the right content.
+
+    The content must equal both the image filling's content and w applied
+    to the folded weight; with odd parity the content is not checked.
+    """
+    from .compression import filling_map
+    from .ramyip import _walk_term_raw, folded_weight
+    from .weyl import permute_weight
+
+    try:
+        _, _, content = _walk_term_raw(w, folds, chain)
+    except InternalInvariantError:
+        return False, True
+    sigma = filling_map(w, folds, lam)
+    return True, content == sigma.content() == permute_weight(
+        w, folded_weight(folds, chain))
+
+
 def _map_property_checks(lam: Partition, n: int):
     """Fold parity, content identity, multiplicity-arm identity, witness."""
     from .compression import fiber_witness, filling_map
     from .fillings import enumerate_nonattacking
-    from .ramyip import _walk_term_raw, folded_weight
-    from .weyl import all_perms, permute_weight
 
     chain = build_chain(lam)
     yield (
@@ -261,40 +324,16 @@ def _map_property_checks(lam: Partition, n: int):
         all(e.mult == lam.parts[e.root[0] - 1] - (e.column - 1) for e in chain),
         f"{chain.m} positions",
     )
-    total = (1 << chain.m) * math.factorial(n)
     parity_ok = True
     content_ok = True
     checked = 0
-    if total <= 50000:
-        for w in all_perms(n):
-            for mask in range(1 << chain.m):
-                folds = [p for p in range(1, chain.m + 1) if mask >> (p - 1) & 1]
-                try:
-                    _, _, content = _walk_term_raw(w, folds, chain)
-                except AssertionError:
-                    parity_ok = False
-                    break
-                sigma = filling_map(w, folds, lam)
-                if content != sigma.content() or content != permute_weight(
-                    w, folded_weight(folds, chain)
-                ):
-                    content_ok = False
-                checked += 1
-    else:
-        import random
-
-        rng = random.Random(0)
-        perms = all_perms(n)
-        for _ in range(500):
-            w = rng.choice(perms)
-            folds = sorted(
-                rng.sample(range(1, chain.m + 1), rng.randint(0, chain.m))
-            )
-            _, _, content = _walk_term_raw(w, folds, chain)
-            sigma = filling_map(w, folds, lam)
-            if content != sigma.content():
-                content_ok = False
-            checked += 1
+    for w, folds in _map_pairs(chain, n):
+        parity, content = _map_pair_check(w, folds, chain, lam)
+        if not parity:
+            parity_ok = False
+            break
+        content_ok = content_ok and content
+        checked += 1
     yield ("fold-parity", parity_ok, f"{checked} pairs")
     yield ("content-identity", content_ok, f"{checked} pairs")
     witness_ok = True
@@ -306,7 +345,7 @@ def _map_property_checks(lam: Partition, n: int):
             witness_ok = False
             break
         count += 1
-        if count >= 5000:
+        if count >= MAP_WITNESSES:
             break
     yield ("surjectivity-witness", witness_ok, f"{count} fillings")
 

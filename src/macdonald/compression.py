@@ -12,12 +12,21 @@ per-class verification below.
 Fibers are computed by brute-force grouping of the whole folding-pair space.
 That is deliberate: the verifier stays independent of the column structure it
 verifies.
+
+Each class identity is decided exactly on integers.  Both sides are lifted
+to a common denominator and packed (Kronecker substitution) into one window
+of ``qt.PackedWindow``, fixed for the whole run by ``ClassWindow`` from
+proven bounds on every exponent and coefficient, so the identity holds
+exactly when two Python ints are equal.  The filling's term is never
+reduced on that path; ``RationalQT`` values are built only to render a
+failing class, or on demand.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .chain import (
     ChainEntry,
@@ -28,27 +37,38 @@ from .chain import (
     cached_chain,
 )
 from .fillings import (
+    AttackViolation,
     Filling,
+    Shape,
+    _term_raw,
     check_filling_cap,
     compressed_term,
+    diagram_denominator,
     enumerate_nonattacking,
     shape_of,
 )
 from .qt import (
     ONE_MINUS_T,
+    DenomFactor,
     Laurent,
+    PackedWindow,
     RationalQT,
-    _add_into,
-    _add_product_into,
-    _factors_product,
+    _digit_bits,
     rational_reduce,
     rational_str,
 )
-from .ramyip import FoldingPair, _fold_data, _walk_term_raw, check_term_cap
+from .ramyip import (
+    FoldingPair,
+    _fold_data,
+    _walk_term_raw,
+    chain_denominator,
+    check_term_cap,
+)
 from .weyl import (
     Perm,
     all_perms,
     is_bruhat_descent,
+    perm_length,
     render_perm,
     right_mul_transposition,
 )
@@ -189,15 +209,214 @@ def fiber_witness(sigma: Filling, lam: Partition) -> FoldingPair:
     return FoldingPair(w, frozenset(fold_list))
 
 
-@dataclass
+class FiberSum:
+    """A fiber's walk terms summed over the lcm of their denominators.
+
+    The numerator is one packed integer of a ``ClassWindow``; ``value``
+    unpacks it, on first use, into the unreduced ``RationalQT`` over the lcm,
+    and ``num``, ``den`` and ``==`` read that value.
+    """
+
+    __slots__ = ("packed", "lcm_id", "window", "_value")
+
+    def __init__(self, packed: int, lcm_id: int, window: "ClassWindow"):
+        self.packed = packed
+        self.lcm_id = lcm_id
+        self.window = window
+        self._value: RationalQT | None = None
+
+    @property
+    def value(self) -> RationalQT:
+        if self._value is None:
+            window = self.window
+            self._value = RationalQT(window.packing.unpack(self.packed),
+                                     window.multisets[self.lcm_id])
+        return self._value
+
+    @property
+    def num(self) -> Laurent:
+        return self.value.num
+
+    @property
+    def den(self) -> tuple[DenomFactor, ...]:
+        return self.value.den
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FiberSum):
+            other = other.value
+        return self.value == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class ClassWindow:
+    """The packed window and the memos shared by the fibers of one check.
+
+    One ``qt.PackedWindow`` (with ``qlo = 0``) holds both sides of every
+    class identity, so each side is one integer.  Its bounds are proven from
+    the chain, the diagram and the largest fiber:
+
+    * t exponents of numerators.  Along a walk each fold at a root of height
+      h changes the length by 1 .. 2h-1, down for a positive fold and up for a
+      negative one, so it adds 0 .. 2h-2 to ``len(w) - len(w*phi) - |J|``
+      plus twice the t power of the negative folds: a walk term's t exponent
+      lies in ``0 .. sum(h - 1)`` over the chain.  A filling term's
+      ``n(lambda) - inv`` lies in ``n(lambda) - A .. n(lambda) + L``, with A
+      the attacking pairs of the diagram and L the legs of the cells that
+      have a left neighbour.  q exponents are never negative.
+    * Lifts.  Both sides of a class are lifted by binomials of
+      ``lcm | den_r``, a sub-multiset of the union of the chain and diagram
+      denominators, plus ``(1-t)`` once per factor of a term's own
+      denominator; together that adds at most ``T``, the union's t degree, to
+      the t exponent, and ``span`` covers the numerators' range plus ``T``.
+    * Coefficients.  Each lifted term's l1 norm is its coefficient times at
+      most 2 per binomial, and a class has at most ``K = m + d`` binomials on
+      either side (chain positions plus diagram cells), so ``bits`` keeps
+      ``2^(bits-1)`` above ``max_fiber * 2^K``.  A fiber whose coefficients
+      sum to ``budget = 2^(bits-1-K)`` or more does not fit.
+
+    A numerator outside these ranges, or a fiber over the budget, raises
+    ``InternalInvariantError``: no packed comparison ever reads a wrapped
+    digit.  Without a ``shape`` the window holds fiber sums only.
+
+    The memos live as long as the window: each fold set's fold data and
+    multiset id, each fiber's lcm by the set of its terms' multiset ids, and
+    each packed lift by ``(lcm id, multiset id)``.  Multisets are interned
+    as small ints (``multisets`` maps an id back to its sorted factors).
+    """
+
+    def __init__(self, chain: LambdaChain, max_fiber: int,
+                 shape: Shape | None = None):
+        self.chain = chain
+        chain_den = Counter(chain_denominator(chain))
+        t_hi = sum(b - 1 for _a, b in chain_den.elements())
+        t_lo = 0
+        if shape is None:
+            self.diagram: Counter = Counter()
+        else:
+            self.diagram = Counter(diagram_denominator(shape))
+            inversions = sum(len(attackers) for attackers in shape.attackers)
+            legs = sum(b - 1 for _a, b in self.diagram.elements())
+            t_lo = min(t_lo, shape.n_lambda - inversions)
+            t_hi = max(t_hi, shape.n_lambda + legs)
+        union = chain_den | self.diagram
+        lift_tdeg = sum(max(b, 1) * mult for (_a, b), mult in union.items())
+        factors = chain.m + sum(self.diagram.values())
+        bits = _digit_bits(max(max_fiber, 1) << factors)
+        self.t_lo, self.t_hi = t_lo, t_hi
+        self.budget = 1 << (bits - 1 - factors)
+        self.packing = PackedWindow(0, t_lo, t_hi + lift_tdeg - t_lo + 1, bits)
+        self.multisets: list[tuple[DenomFactor, ...]] = []
+        self._ids: dict[tuple[DenomFactor, ...], int] = {}
+        self.lengths: dict[Perm, int] = {}
+        self._folds: dict[frozenset[int], tuple] = {}
+        self._lcms: dict[frozenset[int], int] = {}
+        self._lifts: dict[tuple[int, int], int] = {}
+        self._extra: dict[tuple[int, int], list] = {}
+
+    def intern(self, den: Counter) -> int:
+        """The id of a denominator multiset."""
+        key = tuple(sorted(den.elements()))
+        idx = self._ids.get(key)
+        if idx is None:
+            idx = self._ids[key] = len(self.multisets)
+            self.multisets.append(key)
+        return idx
+
+    def fold_set(self, folds: frozenset[int]) -> tuple:
+        """(fold list, ``_fold_data``, multiset id) of a fold set."""
+        entry = self._folds.get(folds)
+        if entry is None:
+            fold_list = sorted(folds)
+            fold_data = _fold_data(fold_list, self.chain)
+            entry = self._folds[folds] = (fold_list, fold_data,
+                                          self.intern(fold_data[1]))
+        return entry
+
+    def lcm(self, den_ids: frozenset[int]) -> int:
+        """The id of the multiset lcm of the given multisets."""
+        idx = self._lcms.get(den_ids)
+        if idx is None:
+            lcm: Counter = Counter()
+            for den_id in den_ids:
+                lcm |= Counter(self.multisets[den_id])
+            idx = self._lcms[den_ids] = self.intern(lcm)
+        return idx
+
+    def lift(self, lcm_id: int, den_id: int) -> int:
+        """(1-t)^|den| times the binomials of lcm - den, packed."""
+        key = (lcm_id, den_id)
+        lift = self._lifts.get(key)
+        if lift is None:
+            den = Counter(self.multisets[den_id])
+            missing = Counter(self.multisets[lcm_id]) - den
+            lift = self._lifts[key] = self.packing.times_binomials(
+                1, [*missing.items(), (ONE_MINUS_T, sum(den.values()))])
+        return lift
+
+    def identity_holds(self, lhs: FiberSum, num_r: Laurent, den_r: Counter) -> bool:
+        """lhs * lift(den_r - lcm) == num_r * (1-t)^|den_r| * lift(lcm - den_r).
+
+        ``(num_r, den_r)`` is the filling's bare term, unreduced.
+        """
+        key = (lhs.lcm_id, self.intern(den_r))
+        extra = self._extra.get(key)
+        if extra is None:
+            if den_r - self.diagram:
+                raise InternalInvariantError(
+                    f"filling denominator {sorted(den_r.elements())} is not "
+                    f"part of the diagram denominator")
+            lcm = Counter(self.multisets[lhs.lcm_id])
+            extra = self._extra[key] = list((den_r - lcm).items())
+        rhs_lift = self.lift(*key)
+        packing = self.packing
+        left = packing.times_binomials(lhs.packed, extra)
+        right = weight = 0
+        for (a, b), c in num_r.items():
+            self.check_monomial(a, b)
+            weight += abs(c)
+            right += (rhs_lift * c) << packing.shift(a, b)
+        self.check_weight(weight)
+        return left == right
+
+    def check_monomial(self, a: int, b: int) -> None:
+        if a < 0 or not self.t_lo <= b <= self.t_hi:
+            raise InternalInvariantError(
+                f"numerator q^{a} t^{b} outside the packed window "
+                f"(q >= 0, t in {self.t_lo}..{self.t_hi})")
+
+    def check_weight(self, weight: int) -> None:
+        if weight >= self.budget:
+            raise InternalInvariantError(
+                f"coefficients summing to {weight} overflow the packed "
+                f"window's budget {self.budget}")
+
+
+@dataclass(slots=True)
 class ClassResult:
-    """Per-fiber verification data for one nonattacking filling."""
+    """Per-fiber verification data for one nonattacking filling.
+
+    ``lhs`` (the fiber sum over its own lcm, unreduced) and ``rhs`` (the
+    filling's reduced term) are built on first use; a failing class keeps
+    the ``lhs`` its check computed.
+    """
 
     pairs: list[FoldingPair]
     ok: bool
     contents_ok: bool
-    lhs: RationalQT
-    rhs: RationalQT
+    sigma: Filling
+    _lhs: RationalQT | None = None
+
+    @property
+    def lhs(self) -> RationalQT:
+        if self._lhs is None:
+            chain = cached_chain(self.sigma.parts)
+            self._lhs = class_sum(self.pairs, chain, self.sigma.content())[0].value
+        return self._lhs
+
+    @property
+    def rhs(self) -> RationalQT:
+        return compressed_term(self.sigma)[0]
 
 
 @dataclass
@@ -211,21 +430,42 @@ class ClassReport:
     first_failure: str | None
 
 
+def _gather(slots: tuple[int, ...]):
+    """A function taking a tuple to its entries at slots, as a tuple."""
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda w: (w[slot],)
+    return itemgetter(*slots)
+
+
 def group_fibers(lam: Partition, n: int
                  ) -> dict[tuple[int, ...], list[FoldingPair]]:
-    """All folding pairs grouped by image filling, in enumeration order."""
+    """All folding pairs grouped by image filling, in enumeration order.
+
+    The filling map's column swaps move positions, not values, so the image
+    of (w, J) is w read at slots fixed by J.  Each fold set's slots, and its
+    shared frozenset, are found once by running its swap schedule on the
+    identity; every w is then read through them.
+    """
     chain = build_chain(lam)
     check_term_cap(chain)
     shape = shape_of(lam.parts)
     m = chain.m
+    identity = tuple(range(n))
+    schedule = []
+    for mask in range(1 << m):
+        fold_list = [p for p in range(1, m + 1) if mask >> (p - 1) & 1]
+        slots = _filling_values(identity, fold_list, chain, shape)
+        schedule.append((_gather(slots), frozenset(fold_list)))
     out: dict[tuple[int, ...], list[FoldingPair]] = {}
     for w in all_perms(n):
-        for mask in range(1 << m):
-            fold_list = [p for p in range(1, m + 1) if mask >> (p - 1) & 1]
-            values = _filling_values(w, fold_list, chain, shape)
-            out.setdefault(values, []).append(
-                FoldingPair(w, frozenset(fold_list))
-            )
+        for gather, folds in schedule:
+            values = gather(w)
+            pairs = out.get(values)
+            if pairs is None:
+                out[values] = [FoldingPair(w, folds)]
+            else:
+                pairs.append(FoldingPair(w, folds))
     return out
 
 
@@ -236,99 +476,107 @@ def fiber(sigma: Filling, lam: Partition, n: int) -> set[FoldingPair]:
 
 def class_sum(pairs: list[FoldingPair], chain: LambdaChain,
               expected_content: tuple[int, ...],
-              lifts: dict[frozenset, Laurent] | None = None,
-              ) -> tuple[RationalQT, bool]:
+              window: ClassWindow | None = None,
+              ) -> tuple[FiberSum, bool]:
     """Sum of walk coefficients over a fiber, plus a content-match flag.
 
     Every walk term of the fiber is built and its content checked; the terms
     of the expected content are summed over the lcm of the fiber's own
-    denominators rather than the whole chain's.  Pairs are grouped by fold
-    set, whose fold data (``ramyip._fold_data``) and denominator are shared
-    by all of the set's terms.  A bare term over ``den`` is lifted to that
-    lcm by the factor multiset ``lcm - den`` plus ``(1-t)^|den|``; terms are
-    grouped by that lift key and each group is multiplied by its lift
-    polynomial once.  ``lifts`` memoises those polynomials by key:
-    ``verify_all_classes`` passes one dict for all of its fibers, which
-    share most keys, so it lives for one call.  The sum is returned over the
-    lcm unreduced; ``RationalQT`` equality is semantic.
+    denominators rather than the whole chain's.  A bare term over ``den`` is
+    lifted to that lcm by ``(1-t)^|den|`` times the binomials of
+    ``lcm - den``.  The sum is one packed integer of ``window``, and each
+    term adds its lift, a packed integer memoised by the window, shifted to
+    the term's monomial.  Pairs are grouped by fold set, whose fold data
+    (``ramyip._fold_data``), multiset and lift are shared by all of the
+    set's terms.  ``verify_all_classes`` passes one window for all of its
+    fibers; without one, a window is made for this fiber alone.
     """
-    if lifts is None:
-        lifts = {}
+    if window is None:
+        window = ClassWindow(chain, len(pairs))
     by_folds: dict[frozenset[int], list[Perm]] = {}
     for pair in pairs:
-        by_folds.setdefault(pair.folds, []).append(pair.w)
-    batches = []
-    lcm: Counter = Counter()
-    for folds, perms in by_folds.items():
-        fold_list = sorted(folds)
-        fold_data = _fold_data(fold_list, chain)
-        lcm |= fold_data[1]
-        batches.append((fold_list, fold_data, perms))
-    groups: dict[frozenset, Laurent] = {}
+        perms = by_folds.get(pair.folds)
+        if perms is None:
+            by_folds[pair.folds] = [pair.w]
+        else:
+            perms.append(pair.w)
+    batches = [(window.fold_set(folds), perms) for folds, perms in by_folds.items()]
+    lcm_id = window.lcm(frozenset(entry[2] for entry, _perms in batches))
+    t_lo, t_hi = window.t_lo, window.t_hi
+    span, bits = window.packing.span, window.packing.bits
+    lengths = window.lengths
+    total = weight = 0
     contents_ok = True
-    for fold_list, fold_data, perms in batches:
-        den = fold_data[1]
-        key = frozenset(
-            (lcm - den + Counter({ONE_MINUS_T: sum(den.values())})).items()
-        )
+    for (fold_list, fold_data, den_id), perms in batches:
+        lift = window.lift(lcm_id, den_id)
         for w in perms:
-            num, _den, content = _walk_term_raw(w, fold_list, chain,
-                                                fold_data=fold_data)
+            length = lengths.get(w)
+            if length is None:
+                length = lengths[w] = perm_length(w)
+            num, _den, content = _walk_term_raw(w, fold_list, chain, length,
+                                                fold_data)
             if content != expected_content:
                 contents_ok = False
                 continue
-            slot = groups.get(key)
-            if slot is None:
-                groups[key] = dict(num)
-            else:
-                _add_into(slot, num)
-    total: Laurent = {}
-    for key, num in groups.items():
-        lift = lifts.get(key)
-        if lift is None:
-            lift = lifts[key] = _factors_product(Counter(dict(key)))
-        _add_product_into(total, num, lift)
-    return RationalQT(total, lcm.elements()), contents_ok
+            for (a, b), c in num.items():
+                if a < 0 or not t_lo <= b <= t_hi:
+                    window.check_monomial(a, b)
+                weight += abs(c)
+                total += (lift * c) << bits * (a * span + b - t_lo)
+    window.check_weight(weight)
+    return FiberSum(total, lcm_id, window), contents_ok
+
+
+def _check_class(sigma: Filling, pairs: list[FoldingPair],
+                 window: ClassWindow) -> ClassResult:
+    """The class identity of one filling, decided on packed integers."""
+    num_r, den_r, content = _term_raw(sigma.shape, sigma.values, sigma.n)
+    lhs, contents_ok = class_sum(pairs, window.chain, content, window)
+    ok = contents_ok and window.identity_holds(lhs, num_r, den_r)
+    return ClassResult(pairs, ok, contents_ok, sigma, None if ok else lhs.value)
 
 
 def verify_class(sigma: Filling, lam: Partition, n: int) -> bool:
     """Check one fiber: coefficients sum to the filling's term, contents match."""
+    if not sigma.is_nonattacking():
+        raise AttackViolation("filling has an attacking pair with equal values")
     pairs = sorted(fiber(sigma, lam, n), key=lambda p: (p.w, sorted(p.folds)))
-    chain = build_chain(lam)
-    rhs, content = compressed_term(sigma)
-    lhs, contents_ok = class_sum(pairs, chain, content)
-    return bool(pairs) and contents_ok and lhs == rhs
+    window = ClassWindow(build_chain(lam), len(pairs), sigma.shape)
+    return bool(pairs) and _check_class(sigma, pairs, window).ok
 
 
 def verify_all_classes(lam: Partition, n: int) -> ClassReport:
-    """Run the per-class check over every nonattacking filling."""
+    """Run the per-class check over every nonattacking filling.
+
+    Each class identity is one integer equality in a ``ClassWindow`` shared
+    by all fibers; ``RationalQT`` values are built only to render a failure.
+    """
     check_filling_cap(lam, n)
     chain = build_chain(lam)
     fibers = group_fibers(lam, n)
     total_pairs = sum(len(v) for v in fibers.values())
+    window = ClassWindow(chain, max(map(len, fibers.values()), default=0),
+                         shape_of(lam.parts))
     classes: dict[tuple[int, ...], ClassResult] = {}
     missing: list[tuple[int, ...]] = []
     first_failure: str | None = None
     ok = True
     seen = set()
-    lifts: dict[frozenset, Laurent] = {}
     for sigma in enumerate_nonattacking(lam, n):
         seen.add(sigma.values)
         pairs = fibers.get(sigma.values, [])
-        rhs, content = compressed_term(sigma)
         if not pairs:
             missing.append(sigma.values)
             ok = False
             if first_failure is None:
                 first_failure = f"empty fiber for filling\n{sigma.render()}"
             continue
-        lhs, contents_ok = class_sum(pairs, chain, content, lifts)
-        good = contents_ok and lhs == rhs
-        classes[sigma.values] = ClassResult(pairs, good, contents_ok, lhs, rhs)
-        if not good:
+        result = classes[sigma.values] = _check_class(sigma, pairs, window)
+        if not result.ok:
             ok = False
             if first_failure is None:
-                first_failure = render_counterexample(sigma, pairs, lhs, rhs, chain)
+                first_failure = render_counterexample(
+                    sigma, pairs, result.lhs, result.rhs, chain)
     stray = set(fibers) - seen
     if stray:
         ok = False

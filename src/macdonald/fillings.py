@@ -108,19 +108,23 @@ class Shape:
         self.n_lambda = sum((i - 1) * p for i, p in enumerate(self.parts, start=1))
 
     def _attacker_lists(self, hhl: bool) -> tuple[tuple[int, ...], ...]:
-        """For each cell, the reading-earlier cells attacking it."""
+        """For each cell, the reading-earlier cells attacking it, in order.
+
+        Those are the cells of the previous column that attack it, then the
+        cells above it in its own column; no other cell can attack it.
+        """
+        pos = self.pos
         out = []
-        for idx, (i, j) in enumerate(self.cells):
-            prev = []
-            for kdx in range(idx):
-                k, l = self.cells[kdx]
-                if l == j and k < i:
-                    prev.append(kdx)
-                elif l == j - 1:
-                    # (i, j) is in the left column of the pair
-                    if (i > k) if hhl else (i < k):
-                        prev.append(kdx)
-            out.append(tuple(prev))
+        for i, j in self.cells:
+            if j == 1:
+                rows = range(0)
+            elif hhl:
+                rows = range(1, min(i, self.conjugate[j - 2] + 1))
+            else:
+                # (i, j) is in the left column of the pair
+                rows = range(i + 1, self.conjugate[j - 2] + 1)
+            out.append(tuple(pos[(k, j - 1)] for k in rows)
+                       + tuple(pos[(k, j)] for k in range(1, i)))
         return tuple(out)
 
     def arm(self, cell: Cell) -> int:

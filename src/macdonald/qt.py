@@ -25,7 +25,9 @@ Three layers:
     every coefficient, so no digit overflows.  Sums of packed ints, and
     products with a binomial (a shift and a subtraction), are therefore
     exactly the dict arithmetic, done at C speed; the sums are unpacked into
-    dicts before anything reads them.
+    dicts before anything reads them.  ``PackedWindow`` holds the window
+    and its shift, binomial-product and unpack steps, which the per-class
+    check in ``compression`` shares.
 
 Every term of both formulas has the shape
 
@@ -46,7 +48,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 Monomial = tuple[int, int]            # (a, b) standing for q^a * t^b
 Laurent = dict[Monomial, int]         # sparse, zero coefficients never stored
@@ -427,6 +429,43 @@ def _unpack_digits(value: int, bits: int) -> Iterator[tuple[int, int]]:
             yield slot_idx, d - half
 
 
+class PackedWindow(NamedTuple):
+    """A Kronecker packing of Laurent polynomials into one Python int.
+
+    q^a t^b is the signed digit at slot ``(a - qlo) * span + (b - tlo)``,
+    each slot ``bits`` wide.  Packing is a ring map for exponents inside the
+    window, so sums and products of packed ints are the dict arithmetic; the
+    caller keeps every coefficient below ``2^(bits-1)`` in absolute value and
+    every t exponent in ``tlo .. tlo + span - 1``, and then two packed ints are
+    equal exactly when their polynomials are.
+    """
+
+    qlo: int
+    tlo: int
+    span: int
+    bits: int
+
+    def shift(self, a: int, b: int) -> int:
+        """The bit offset of the slot of q^a t^b."""
+        return self.bits * ((a - self.qlo) * self.span + b - self.tlo)
+
+    def times_binomials(self, value: int,
+                        factors: Iterable[tuple[DenomFactor, int]]) -> int:
+        """value * prod (1 - q^a t^b)^mult: a shift and a subtraction each."""
+        span, bits = self.span, self.bits
+        for (a, b), mult in factors:
+            shift = bits * (a * span + b)
+            for _ in range(mult):
+                value -= value << shift
+        return value
+
+    def unpack(self, value: int) -> Laurent:
+        """The polynomial of a packed int, as a dict."""
+        qlo, tlo, span = self.qlo, self.tlo, self.span
+        return {(qlo + i // span, tlo + i % span): c
+                for i, c in _unpack_digits(value, self.bits)}
+
+
 class ContentAccumulator:
     """Collects bare formula terms per content over a fixed shared denominator.
 
@@ -470,7 +509,7 @@ class ContentAccumulator:
         # flush; holding the object keeps its id from being reused meanwhile
         self._den_groups: dict[int, tuple[Counter, dict[Content, Laurent]]] = {}
         self._packed: dict[Content, int] = {}
-        self._window: tuple[int, int, int, int] | None = None  # qlo, tlo, span, bits
+        self._window: PackedWindow | None = None
         self._bound = 0         # bound on every |coefficient| of the packed sums
         self._lift_tdeg = sum(max(b, 1) * mult for (_a, b), mult in self.den.items())
 
@@ -521,15 +560,9 @@ class ContentAccumulator:
 
     def _packed_lift(self, den: dict[DenomFactor, int]) -> int:
         """(1-t)^|den| times the binomials ``den`` lacks, as a packed integer."""
-        _qlo, _tlo, span, bits = self._window
-        lift = 1
-        for (a, b), mult in self.den.items():
-            shift = bits * (a * span + b)
-            for _ in range(mult - den.get((a, b), 0)):
-                lift -= lift << shift
-        for _ in range(sum(den.values())):       # (1 - t) is one slot up
-            lift -= lift << bits
-        return lift
+        missing = [(f, mult - den.get(f, 0)) for f, mult in self.den.items()]
+        missing.append((ONE_MINUS_T, sum(den.values())))
+        return self._window.times_binomials(1, missing)
 
     def _fit(self, qlo: int, tlo: int, thi: int, weight: int) -> None:
         """Make the window hold q^qlo.., t^tlo..t^thi and ``weight`` more."""
@@ -548,7 +581,7 @@ class ContentAccumulator:
             if thi > old_thi:
                 thi += self._lift_tdeg
             qlo, tlo, thi = min(qlo, old_q), min(tlo, old_t), max(thi, old_thi)
-        self._window = (qlo, tlo, thi - tlo + 1, _digit_bits(weight))
+        self._window = PackedWindow(qlo, tlo, thi - tlo + 1, _digit_bits(weight))
         self._bound = weight
 
     def _unpack(self) -> None:
@@ -558,9 +591,7 @@ class ContentAccumulator:
             value = packed.pop(content)
             slot = lifted.setdefault(content, {})
             if value:
-                qlo, tlo, span, bits = self._window
-                _add_into(slot, {(qlo + i // span, tlo + i % span): c
-                                 for i, c in _unpack_digits(value, bits)})
+                _add_into(slot, self._window.unpack(value))
         self._window = None
         self._bound = 0
 

@@ -11,6 +11,7 @@ hook resolved, no observer broke and the exact counts come out.
 import contextlib
 import importlib.util
 import io
+import json
 import math
 from pathlib import Path
 
@@ -63,3 +64,22 @@ def test_tracer_counts_filling_terms_and_reaches_the_count(tmp_path):
     assert stats.calls["fillings._term_raw"] == 288
     assert stats.calls["qt.ContentAccumulator.add"] == 288
     assert stats.calls["fillings._count_values"] >= 1
+
+
+def test_tracer_sees_the_per_class_check(tmp_path):
+    tracer = _load_layers().Tracer(tmp_path)
+    assert tracer.absent == []
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["verify", "--lambda", "3,2,1,0", "--per-class"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert json.loads(out.getvalue())["ok"] is True
+    stats = tracer.collect()
+    assert stats.broken == set()
+    assert stats.calls["compression.group_fibers"] == 1
+    assert (stats.pairs, stats.fibers) == (384, 288)
+    assert stats.calls["compression.class_sum"] == 288
+    assert stats.calls["ramyip._walk_term_raw"] == 384

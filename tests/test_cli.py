@@ -11,6 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import macdonald.ramyip as ramyip
+import macdonald.weyl as weyl
+from macdonald.chain import InternalInvariantError
 from macdonald.cli import main
 
 
@@ -81,6 +84,7 @@ def test_term_cap_exits_3(capsys, monkeypatch):
     ["count", "--lambda", "100000,0", "--convention", "hhl", "--jobs", "2"],
     ["verify", "--per-class", "--lambda", "100000,0"],
     ["bench", "--lambda", "100000,0"],
+    ["verify", "--map-properties", "--lambda", "100000,0"],
 ])
 def test_filling_paths_exit_3_before_any_work(capsys, argv):
     start = time.perf_counter()
@@ -204,6 +208,46 @@ def test_verify_map_properties(capsys):
     )
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("shape, pairs", [("3,2,1,0", 384), ("16,0", 500)])
+@pytest.mark.parametrize("fault", ["content", "parity", "folded-weight"])
+def test_map_properties_fails_a_corrupted_walk_term(capsys, monkeypatch, shape,
+                                                    pairs, fault):
+    # (3,2,1,0) has 384 pairs, all checked; (16,0) has 65,536, so 500 are sampled
+    real_term, real_weight = ramyip._walk_term_raw, weyl.permute_weight
+    calls = []
+
+    def corrupted_term(w, folds, chain, *args, **kwargs):
+        num, den, content = real_term(w, folds, chain, *args, **kwargs)
+        calls.append(w)
+        if len(calls) == 10:
+            if fault == "parity":
+                raise InternalInvariantError("odd t-exponent numerator")
+            if fault == "content":
+                content = content[:-1] + (content[-1] + 1,)
+        return num, den, content
+
+    def corrupted_weight(w, mu):
+        weight = real_weight(w, mu)
+        if len(calls) == 10 and fault == "folded-weight":
+            weight = weight[:-1] + (weight[-1] + 1,)
+        return weight
+
+    monkeypatch.setattr(ramyip, "_walk_term_raw", corrupted_term)
+    monkeypatch.setattr(weyl, "permute_weight", corrupted_weight)
+    code, out, _ = run_cli(capsys, ["verify", "--lambda", shape, "--map-properties"])
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    if fault == "parity":
+        # the first odd parity ends the pair checks, in either branch
+        assert checks["fold-parity"] == {"name": "fold-parity", "ok": False,
+                                         "detail": "9 pairs"}
+        assert len(calls) == 10
+    else:
+        assert checks["fold-parity"]["ok"]
+        assert checks["content-identity"] == {
+            "name": "content-identity", "ok": False, "detail": f"{pairs} pairs"}
 
 
 def test_table_row_one(capsys):

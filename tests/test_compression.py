@@ -210,3 +210,34 @@ def test_corrupted_walk_terms_fail_their_class(monkeypatch):
     assert reduced != rational_str(result.lhs)
     assert report.first_failure.startswith("class identity failed for filling:")
     assert f"fiber sum      = {reduced}\n" in report.first_failure
+
+
+def test_corrupted_filling_terms_fail_every_class(monkeypatch):
+    lam = Partition((3, 2, 1, 0))
+    real = compression._term_raw
+
+    def corrupted(shape, vals, n):
+        num, den, content = real(shape, vals, n)
+        return {m: 7 * c for m, c in num.items()}, den, content
+
+    monkeypatch.setattr(compression, "_term_raw", corrupted)
+    report = verify_all_classes(lam, 4)
+    assert not report.ok
+    assert len(report.classes) == 288
+    assert not any(c.ok for c in report.classes.values())
+    assert all(c.contents_ok for c in report.classes.values())
+    assert report.first_failure.startswith("class identity failed for filling:")
+
+
+def test_passing_classes_build_no_rational_values():
+    report = verify_all_classes(Partition((3, 2, 1, 0)), 4)
+    assert all(c.ok and c._lhs is None for c in report.classes.values())
+
+
+def test_verify_class_decides_on_the_packed_identity(monkeypatch):
+    lam = Partition((3, 2, 1, 0))
+    sigma = next(enumerate_nonattacking(lam, 4))
+    assert verify_class(sigma, lam, 4)
+    monkeypatch.setattr(compression.ClassWindow, "identity_holds",
+                        lambda self, lhs, num_r, den_r: False)
+    assert not verify_class(sigma, lam, 4)

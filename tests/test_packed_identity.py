@@ -1,0 +1,189 @@
+"""The packed class identity against RationalQT equality on random small shapes.
+
+``verify_class`` and ``verify_all_classes`` decide each class identity as one
+integer equality in a ``ClassWindow``.  Here that verdict is checked against
+a reference that sums the fiber's walk terms as reduced ``RationalQT``
+values and compares the sum with the filling's term: on the true fibers, and
+on fibers with one walk term perturbed (a coefficient off by one, a t power
+shifted by one, or a denominator factor swapped for another chain factor).
+"""
+
+import itertools
+import math
+from collections import Counter
+from unittest import mock
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import macdonald.compression as compression
+from macdonald.chain import InternalInvariantError, Partition, build_chain
+from macdonald.compression import (
+    ClassWindow,
+    FiberSum,
+    _check_class,
+    class_sum,
+    group_fibers,
+    verify_all_classes,
+    verify_class,
+)
+from macdonald.fillings import Filling, compressed_term, shape_of
+from macdonald.qt import rational_add, rational_zero, term_value
+from macdonald.ramyip import FoldingPair, chain_denominator
+
+MAX_PAIRS = 3072      # folding pairs a shape may have, so each example is quick
+
+
+def _small_shapes() -> list[Partition]:
+    out = []
+    for rows in (1, 2, 3):
+        for body in itertools.combinations(range(5, 0, -1), rows):
+            lam = Partition(body + (0,))
+            if (1 << build_chain(lam).m) * math.factorial(lam.n) <= MAX_PAIRS:
+                out.append(lam)
+    return out
+
+
+SHAPES = _small_shapes()
+
+
+def reference_verdict(sigma, pairs, chain) -> bool:
+    """Contents match and the reduced walk terms sum to the filling's term.
+
+    Terms come from ``compression._walk_term_raw`` and ``_fold_data`` as they
+    stand, so a patched perturbation reaches the reference too.
+    """
+    rhs, content = compressed_term(sigma)
+    lhs = rational_zero()
+    contents_ok = True
+    for pair in pairs:
+        fold_list = sorted(pair.folds)
+        fold_data = compression._fold_data(fold_list, chain)
+        num, den, term_content = compression._walk_term_raw(
+            pair.w, fold_list, chain, None, fold_data)
+        if term_content != content:
+            contents_ok = False
+            continue
+        lhs = rational_add(lhs, term_value(num, den))
+    return contents_ok and lhs == rhs
+
+
+def test_small_shapes_cover_every_row_count():
+    assert {lam.n for lam in SHAPES} == {2, 3, 4}
+    assert len(SHAPES) >= 10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SHAPES), st.data())
+def test_packed_verdict_equals_rational_equality_on_true_fibers(lam, data):
+    fibers = group_fibers(lam, lam.n)
+    values = data.draw(st.sampled_from(sorted(fibers)))
+    sigma = Filling(lam.parts, lam.n, values)
+    assert reference_verdict(sigma, fibers[values], build_chain(lam))
+    assert verify_class(sigma, lam, lam.n)
+    report = verify_all_classes(lam, lam.n)
+    assert report.ok and report.classes[values].ok
+    assert report.classes[values].lhs == report.classes[values].rhs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SHAPES), st.data(),
+       st.sampled_from(["coefficient", "t-power", "denominator"]),
+       st.sampled_from([-1, 1]))
+def test_packed_verdict_equals_rational_equality_on_perturbed_fibers(
+        lam, data, kind, step):
+    chain = build_chain(lam)
+    fibers = group_fibers(lam, lam.n)
+    values = data.draw(st.sampled_from(sorted(fibers)))
+    sigma = Filling(lam.parts, lam.n, values)
+    pairs = fibers[values]
+    target = data.draw(st.sampled_from(pairs))
+    # room for one coefficient of 2 in the fiber
+    window = ClassWindow(chain, len(pairs) + 1, shape_of(lam.parts))
+    real_walk, real_fold_data = compression._walk_term_raw, compression._fold_data
+
+    def walk(w, fold_list, chain, *args):
+        num, den, content = real_walk(w, fold_list, chain, *args)
+        if FoldingPair(w, frozenset(fold_list)) != target:
+            return num, den, content
+        ((a, b), c), = num.items()
+        if kind == "coefficient":
+            num = {(a, b): c + step} if c + step else {}
+        else:
+            shift = step if window.t_lo <= b + step <= window.t_hi else -step
+            num = {(a, b + shift): c}
+        return num, den, content
+
+    patch = mock.patch.object(compression, "_walk_term_raw", walk)
+    if kind == "t-power":
+        assume(window.t_lo < window.t_hi)   # room to shift inside the window
+    if kind == "denominator":
+        assume(target.folds)
+        fold_list = sorted(target.folds)
+        den = real_fold_data(fold_list, chain)[1]
+        chain_den = Counter(chain_denominator(chain))
+        old = data.draw(st.sampled_from(sorted(den)))
+        swaps = sorted(f for f in chain_den if f != old and den[f] < chain_den[f])
+        assume(swaps)
+        new = data.draw(st.sampled_from(swaps))
+
+        def fold_data(fold_list, chain):
+            mu, den = real_fold_data(fold_list, chain)
+            if frozenset(fold_list) == target.folds:
+                den = den - Counter([old]) + Counter([new])
+            return mu, den
+
+        patch = mock.patch.object(compression, "_fold_data", fold_data)
+    with patch:
+        want = reference_verdict(sigma, pairs, chain)
+        assert _check_class(sigma, pairs, window).ok == want
+
+
+def test_a_fiber_over_the_window_budget_raises():
+    lam = Partition((3, 2, 1, 0))
+    chain = build_chain(lam)
+    values, pairs = next(iter(group_fibers(lam, 4).items()))
+    window = ClassWindow(chain, 1, shape_of(lam.parts))
+    content = Filling(lam.parts, 4, values).content()
+    real = compression._walk_term_raw
+
+    def heavy(w, fold_list, chain, *args):
+        num, den, term_content = real(w, fold_list, chain, *args)
+        return {m: window.budget * c for m, c in num.items()}, den, term_content
+
+    with mock.patch.object(compression, "_walk_term_raw", heavy):
+        with pytest.raises(InternalInvariantError, match="budget"):
+            class_sum(pairs, chain, content, window)
+
+
+@pytest.mark.parametrize("shift", ["below", "above"])
+def test_a_numerator_outside_the_window_raises(shift):
+    lam = Partition((3, 2, 1, 0))
+    chain = build_chain(lam)
+    values, pairs = next(iter(group_fibers(lam, 4).items()))
+    window = ClassWindow(chain, len(pairs), shape_of(lam.parts))
+    content = Filling(lam.parts, 4, values).content()
+    real = compression._walk_term_raw
+    b = window.t_lo - 1 if shift == "below" else window.t_hi + 1
+
+    def outside(w, fold_list, chain, *args):
+        num, den, term_content = real(w, fold_list, chain, *args)
+        return {(a, b): c for (a, _b), c in num.items()}, den, term_content
+
+    with mock.patch.object(compression, "_walk_term_raw", outside):
+        with pytest.raises(InternalInvariantError, match="outside the packed window"):
+            class_sum(pairs, chain, content, window)
+
+
+def test_identity_lifts_the_fiber_sum_by_the_factors_its_lcm_lacks():
+    lam = Partition((3, 2, 1, 0))
+    window = ClassWindow(build_chain(lam), 1, shape_of(lam.parts))
+    packing = window.packing
+    one_minus_t = (1 << packing.shift(0, 0)) - (1 << packing.shift(0, 1))
+    lhs = FiberSum(one_minus_t, window.intern(Counter()), window)
+    assert (lhs.num, lhs.den) == ({(0, 0): 1, (0, 1): -1}, ())
+    # the bare term (1 - q t^2) * (1 - t) / (1 - q t^2) is 1 - t, over a
+    # factor that the fiber sum's empty lcm lacks
+    assert window.identity_holds(lhs, {(0, 0): 1, (1, 2): -1}, Counter({(1, 2): 1}))
+    assert not window.identity_holds(lhs, {(0, 0): 1}, Counter({(1, 2): 1}))
