@@ -24,6 +24,7 @@ failing class, or on demand.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -59,6 +60,7 @@ from .qt import (
 )
 from .ramyip import (
     FoldingPair,
+    WalkMemo,
     _fold_data,
     _walk_term_raw,
     chain_denominator,
@@ -68,7 +70,6 @@ from .weyl import (
     Perm,
     all_perms,
     is_bruhat_descent,
-    perm_length,
     render_perm,
     right_mul_transposition,
 )
@@ -113,24 +114,24 @@ def column_factored(folds, chain: LambdaChain) -> ColumnFactored:
 
 def _filling_values(w: Perm, fold_list: list[int], chain: LambdaChain,
                     shape) -> tuple[int, ...]:
-    """Reading-order values of the image filling of (w, folds)."""
-    parts = chain.partition.parts
+    """Reading-order values of the image filling of (w, folds).
+
+    Reading order runs column by column, so the values are the columns'
+    entries laid end to end.
+    """
     conj = shape.conjugate
-    width = parts[0]
-    by_col: dict[int, list[int]] = {}
+    entries = chain.entries
+    roots_by_col: dict[int, list[tuple[int, int]]] = {}
     for p in fold_list:
-        by_col.setdefault(chain.entries[p - 1].column, []).append(p)
+        entry = entries[p - 1]
+        roots_by_col.setdefault(entry.column, []).append(entry.root)
     cur = list(w)
-    columns: dict[int, tuple[int, ...]] = {width: tuple(cur[: conj[width - 1]])}
-    for j in range(width, 1, -1):
-        for p in by_col.get(j, ()):
-            i, k = chain.entries[p - 1].root
+    columns = []        # columns width, width - 1, ..., 1
+    for j in range(chain.partition.parts[0], 0, -1):
+        for i, k in roots_by_col.get(j + 1, ()):
             cur[i - 1], cur[k - 1] = cur[k - 1], cur[i - 1]
-        columns[j - 1] = tuple(cur[: conj[j - 2]])
-    values = []
-    for j in range(1, width + 1):
-        values.extend(columns[j])
-    return tuple(values)
+        columns.append(cur[:conj[j - 1]])
+    return tuple(itertools.chain.from_iterable(reversed(columns)))
 
 
 def filling_map(w: Perm, T: ColumnFactored | list[int] | frozenset[int],
@@ -160,17 +161,24 @@ def fiber_witness(sigma: Filling, lam: Partition) -> FoldingPair:
     conj = shape.conjugate
     width = lam.parts[0]
     n = lam.n
-    first_col = [sigma[(i, 1)] for i in range(1, conj[0] + 1)]
+    # reading order runs column by column, so column j is one slice of values
+    values = sigma.values
+    starts = list(itertools.accumulate(conj, initial=0))
+    columns = [()] + [values[start:stop]
+                      for start, stop in zip(starts, starts[1:])]
+    first_col = list(columns[1])
     missing = set(range(1, n + 1)) - set(first_col)
     if len(first_col) != n - 1 or len(missing) != 1:
         raise InternalInvariantError("column 1 does not determine a permutation")
     cur = first_col + [missing.pop()]
     roots_by_col: dict[int, list[tuple[int, int]]] = {}
     for j in range(2, width + 1):
+        column, previous = columns[j], columns[j - 1]
+        if column == previous[:len(column)]:
+            continue
         swaps: list[tuple[int, int]] = []
-        for i in range(1, conj[j - 1] + 1):
-            v = sigma[(i, j)]
-            if v == sigma[(i, j - 1)]:
+        for i, (v, u) in enumerate(zip(column, previous), start=1):
+            if v == u:
                 continue
             p = cur.index(v) + 1
             if p <= conj[j - 2]:
@@ -180,13 +188,13 @@ def fiber_witness(sigma: Filling, lam: Partition) -> FoldingPair:
             cur[i - 1], cur[p - 1] = cur[p - 1], cur[i - 1]
             swaps.append((i, p))
         # the factor for column j lists these roots in decreasing row order
-        roots_by_col[j] = list(reversed(swaps))
+        roots_by_col[j] = swaps[::-1]
     w = tuple(cur)
     positions: list[int] = []
-    for j in range(width, 1, -1):
+    for j in reversed(roots_by_col):
         segment = chain.column_positions[j]
         idx = 0
-        for root in roots_by_col.get(j, ()):
+        for root in roots_by_col[j]:
             found = None
             while idx < len(segment):
                 p = segment[idx]
@@ -279,10 +287,12 @@ class ClassWindow:
     ``InternalInvariantError``: no packed comparison ever reads a wrapped
     digit.  Without a ``shape`` the window holds fiber sums only.
 
-    The memos live as long as the window: each fold set's fold data and
-    multiset id, each fiber's lcm by the set of its terms' multiset ids, and
-    each packed lift by ``(lcm id, multiset id)``.  Multisets are interned
-    as small ints (``multisets`` maps an id back to its sorted factors).
+    The memos live as long as the window: each fold set's fold plan
+    (``ramyip._fold_data``) and multiset id, the walk terms' lengths and
+    weight readers (``ramyip.WalkMemo``), each fiber's lcm by the set of its
+    terms' multiset ids, and each packed lift by ``(lcm id, multiset id)``.
+    Multisets are interned as small ints (``multisets`` maps an id back to
+    its sorted factors).
     """
 
     def __init__(self, chain: LambdaChain, max_fiber: int,
@@ -308,7 +318,7 @@ class ClassWindow:
         self.packing = PackedWindow(0, t_lo, t_hi + lift_tdeg - t_lo + 1, bits)
         self.multisets: list[tuple[DenomFactor, ...]] = []
         self._ids: dict[tuple[DenomFactor, ...], int] = {}
-        self.lengths: dict[Perm, int] = {}
+        self.memo = WalkMemo()
         self._folds: dict[frozenset[int], tuple] = {}
         self._lcms: dict[frozenset[int], int] = {}
         self._lifts: dict[tuple[int, int], int] = {}
@@ -324,7 +334,7 @@ class ClassWindow:
         return idx
 
     def fold_set(self, folds: frozenset[int]) -> tuple:
-        """(fold list, ``_fold_data``, multiset id) of a fold set."""
+        """(fold list, fold plan, multiset id) of a fold set."""
         entry = self._folds.get(folds)
         if entry is None:
             fold_list = sorted(folds)
@@ -486,10 +496,11 @@ def class_sum(pairs: list[FoldingPair], chain: LambdaChain,
     lifted to that lcm by ``(1-t)^|den|`` times the binomials of
     ``lcm - den``.  The sum is one packed integer of ``window``, and each
     term adds its lift, a packed integer memoised by the window, shifted to
-    the term's monomial.  Pairs are grouped by fold set, whose fold data
+    the term's monomial.  Pairs are grouped by fold set, whose fold plan
     (``ramyip._fold_data``), multiset and lift are shared by all of the
-    set's terms.  ``verify_all_classes`` passes one window for all of its
-    fibers; without one, a window is made for this fiber alone.
+    set's terms, as are the window's memoised lengths and weight readers.
+    ``verify_all_classes`` passes one window for all of its fibers; without
+    one, a window is made for this fiber alone.
     """
     if window is None:
         window = ClassWindow(chain, len(pairs))
@@ -504,17 +515,14 @@ def class_sum(pairs: list[FoldingPair], chain: LambdaChain,
     lcm_id = window.lcm(frozenset(entry[2] for entry, _perms in batches))
     t_lo, t_hi = window.t_lo, window.t_hi
     span, bits = window.packing.span, window.packing.bits
-    lengths = window.lengths
+    memo = window.memo
     total = weight = 0
     contents_ok = True
     for (fold_list, fold_data, den_id), perms in batches:
         lift = window.lift(lcm_id, den_id)
         for w in perms:
-            length = lengths.get(w)
-            if length is None:
-                length = lengths[w] = perm_length(w)
-            num, _den, content = _walk_term_raw(w, fold_list, chain, length,
-                                                fold_data)
+            num, _den, content = _walk_term_raw(w, fold_list, chain, None,
+                                                fold_data, memo)
             if content != expected_content:
                 contents_ok = False
                 continue

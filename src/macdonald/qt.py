@@ -86,7 +86,7 @@ def _add_product_into(slot: Laurent, f: Laurent, g: Laurent) -> None:
             if s:
                 slot[m] = s
             else:
-                del slot[m]
+                slot.pop(m, None)
 
 
 def _add_into(slot: Laurent, num: Laurent) -> None:
@@ -129,30 +129,29 @@ def l_eval(f: Laurent, q0: Fraction, t0: Fraction) -> Fraction:
 def l_div_binomial(f: Laurent, a: int, b: int) -> Laurent | None:
     """Exact quotient of f by 1 - q^a t^b, or None if it does not divide.
 
-    Exponents are grouped into classes modulo the step (a, b); within a class
-    the division is the one-variable identity
+    Exponents are grouped into classes modulo the step (a, b), each class a
+    dict from the step count m to its coefficient; within a class the
+    division is the one-variable identity
     (sum c_i u^{m_i}) / (1 - u) = sum_j (prefix sum up to j) u^j,
     exact iff each class's coefficients sum to zero.
     """
     _check_factor((a, b))
-    classes: dict[Monomial, list[tuple[int, int]]] = {}
+    classes: dict[Monomial, dict[int, int]] = {}
     for (x, y), c in f.items():
-        if a > 0:
-            m = x // a
-            key = (x - m * a, y - m * b)
+        m = x // a if a else y // b
+        key = (x - m * a, y - m * b)
+        terms = classes.get(key)
+        if terms is None:
+            classes[key] = {m: c}
         else:
-            m = y // b
-            key = (x, y - m * b)
-        classes.setdefault(key, []).append((m, c))
+            terms[m] = c
     out: Laurent = {}
     for (kx, ky), terms in classes.items():
-        if sum(c for _, c in terms) != 0:
+        if sum(terms.values()):
             return None
-        terms.sort()
-        pos = {m: c for m, c in terms}
         prefix = 0
-        for j in range(terms[0][0], terms[-1][0]):
-            prefix += pos.get(j, 0)
+        for j in range(min(terms), max(terms)):
+            prefix += terms.get(j, 0)
             if prefix:
                 out[(kx + j * a, ky + j * b)] = prefix
     return out
@@ -209,14 +208,14 @@ def _factors_product(factors: Counter[DenomFactor]) -> Laurent:
 
 def _mul_binomial(f: Laurent, a: int, b: int) -> Laurent:
     """f * (1 - q^a t^b): f minus its shift by (a, b)."""
-    out = dict(f)
-    for (x, y), c in f.items():
+    out = {m: c for m, c in f.items() if c}
+    for (x, y), c in list(out.items()):
         m = (x + a, y + b)
         s = out.get(m, 0) - c
         if s:
             out[m] = s
         else:
-            del out[m]
+            out.pop(m, None)
     return out
 
 
@@ -231,21 +230,20 @@ def rational_one() -> RationalQT:
 def rational_reduce(f: RationalQT) -> RationalQT:
     """Strip every denominator factor that divides the numerator exactly.
 
-    Factors are retried in sorted order until none divides, so the result is
-    a deterministic function of the input representation.
+    Factors are tried once each, in sorted order.  A factor that does not
+    divide the numerator P does not divide P/g either (P = g * (P/g)), so
+    retrying it after a later division would fail again: the result is the
+    one a restart after every division gives, a deterministic function of
+    the input representation.
     """
     num = f.num
-    remaining = list(f.den)
-    changed = True
-    while changed and remaining:
-        changed = False
-        for idx, (a, b) in enumerate(remaining):
-            quot = l_div_binomial(num, a, b)
-            if quot is not None:
-                num = quot
-                del remaining[idx]
-                changed = True
-                break
+    remaining = []
+    for a, b in f.den:
+        quot = l_div_binomial(num, a, b)
+        if quot is None:
+            remaining.append((a, b))
+        else:
+            num = quot
     return RationalQT(num, remaining)
 
 

@@ -24,6 +24,8 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .chain import InternalInvariantError, LambdaChain, Partition, build_chain
 from .qt import Content, ContentAccumulator, RationalQT, SymFun, term_value
@@ -34,7 +36,6 @@ from .weyl import (
     all_perms,
     is_bruhat_descent,
     perm_length,
-    permute_weight,
     right_mul_transposition,
 )
 
@@ -114,44 +115,119 @@ def folded_weight(folds, chain: LambdaChain) -> Weight:
     return mu
 
 
-def _fold_data(fold_list: list[int], chain: LambdaChain) -> tuple[Weight, Counter]:
-    """The parts of a walk term that depend only on its fold set.
+class FoldPlan(NamedTuple):
+    """Everything a walk term needs from its fold set, compiled once.
 
-    These are the folded weight and the denominator multiset.
+    The walk multiplies w on the right by the folded transpositions in
+    position order.  Those swaps move positions, not values, so the running
+    permutation is always w read at positions fixed by the fold set: before
+    the fold at root (i, k) it reads ``w[a]`` at slot i and ``w[b]`` at slot
+    k, and the fold is negative (an ascent, weighted q^l t^h) exactly when
+    ``w[a] < w[b]``.  ``steps`` holds ``a, b, l, h`` for each fold in order,
+    as one flat tuple (one tuple per fold would cost an object per fold held),
+    and ``final`` reads w*phi off w.
+    """
+
+    mu: Weight                  # lambda reflected at the folded positions
+    den: Counter                # the denominator multiset, shared by the set's terms
+    steps: tuple[int, ...]      # a, b, mult, height per fold, 0-based positions
+    final: itemgetter           # w -> w*phi
+    k: int                      # the number of folds
+
+
+def _fold_data(fold_list: list[int], chain: LambdaChain) -> FoldPlan:
+    """The fold plan of a fold list: every part of a walk term but w.
+
+    ``pos`` starts as the identity and takes each fold's swap, so the
+    running permutation is ``w`` read at ``pos``; a partition has n >= 2
+    parts, so ``final`` returns a tuple.
     """
     entries = [chain.entries[p - 1] for p in fold_list]
+    pos = list(range(chain.partition.n))
+    steps: list[int] = []
+    for entry in entries:
+        i, k = entry.root
+        a, b = pos[i - 1], pos[k - 1]
+        steps += (a, b, entry.mult, entry.height)
+        pos[i - 1], pos[k - 1] = b, a
     den = Counter([(e.mult, e.height) for e in entries])
-    return folded_weight(fold_list, chain), den
+    return FoldPlan(folded_weight(fold_list, chain), den, tuple(steps),
+                    itemgetter(*pos), len(entries))
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)``."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _weight_reader(w: Perm) -> itemgetter:
+    """Reads ``permute_weight(w, mu)`` off mu: its entry j is mu at w^-1(j)."""
+    inverse = [0] * len(w)
+    for i, wi in enumerate(w):
+        inverse[wi - 1] = i
+    return itemgetter(*inverse)
+
+
+class WalkMemo:
+    """Per-permutation values that the walk terms of one loop share.
+
+    ``lengths`` maps a permutation to its length and ``readers`` maps w to
+    the reader of w's action on weights (``_weight_reader``), both filled on
+    first use.  A memo belongs to the loop that makes it (one ``walk_shard``
+    call, or one ``ClassWindow``) and dies with it; none is kept at module
+    level, so no later call starts warm.  Contents are read afresh rather
+    than memoised per (w, mu): holding one tuple per (w, mu) raised the peak
+    resident size of ``verify --per-class`` on (5,2,1,0) by about 0.7 MB.
+    """
+
+    __slots__ = ("lengths", "readers")
+
+    def __init__(self):
+        self.lengths: dict[Perm, int] = _Memo(perm_length)
+        self.readers: dict[Perm, itemgetter] = _Memo(_weight_reader)
 
 
 def _walk_term_raw(w: Perm, fold_list: list[int], chain: LambdaChain,
                    w_length: int | None = None,
-                   fold_data: tuple[Weight, Counter] | None = None):
+                   fold_data: FoldPlan | None = None,
+                   memo: WalkMemo | None = None):
     """Bare numerator, denominator multiset, and content of one walk term.
 
     The numerator is the monomial q^a t^b alone; the term's value is
     num * (1-t)^|den| / prod(den) (see ``qt.term_value``).  ``fold_data``
     is ``_fold_data(fold_list, chain)``, passed in when many permutations
-    share one fold set; the returned multiset is then that shared Counter.
+    share one fold set; the returned multiset is then that plan's shared
+    Counter.  ``memo`` holds lengths and weight readers across the calls of
+    one loop; without one, a fresh memo serves this call alone.
     """
-    mu, den = _fold_data(fold_list, chain) if fold_data is None else fold_data
-    entries = chain.entries
-    cur = w
+    mu, den, steps, final, k = (_fold_data(fold_list, chain)
+                                if fold_data is None else fold_data)
+    if memo is None:
+        memo = WalkMemo()
+    lengths = memo.lengths
     qexp = 0
     textra = 0
-    for p in fold_list:
-        entry = entries[p - 1]
-        if not is_bruhat_descent(cur, entry.root):
-            qexp += entry.mult
-            textra += entry.height
-        cur = right_mul_transposition(cur, entry.root)
-    lw = perm_length(w) if w_length is None else w_length
-    parity_num = lw - perm_length(cur) - len(fold_list)
+    it = iter(steps)
+    for a, b, mult, height in zip(it, it, it, it):
+        if w[a] < w[b]:
+            qexp += mult
+            textra += height
+    lw = lengths[w] if w_length is None else w_length
+    parity_num = lw - lengths[final(w)] - k
     if parity_num % 2:
         raise InternalInvariantError(
             f"odd t-exponent numerator {parity_num} for w={w}, folds={fold_list}"
         )
-    return {(qexp, parity_num // 2 + textra): 1}, den, permute_weight(w, mu)
+    return {(qexp, parity_num // 2 + textra): 1}, den, memo.readers[w](mu)
 
 
 def walk_term(w: Perm, folds, chain: LambdaChain) -> tuple[RationalQT, Content]:
@@ -168,12 +244,12 @@ def chain_denominator(chain: LambdaChain) -> list[tuple[int, int]]:
 def walk_shard(chain: LambdaChain, perms: list[Perm]) -> ContentAccumulator:
     """Accumulate walk terms for every fold subset of the given permutations.
 
-    A term's denominator multiset and folded weight depend only on its fold
-    set, so both are computed once per fold set (``_fold_data``) rather than
-    once per permutation.  Fold sets with equal multisets are walked
-    together, over every permutation, and the accumulator is flushed after
-    each such batch: it holds one pending group at a time and lifts it once
-    per content.
+    Everything a term needs from its fold set is compiled once per fold set
+    into a ``FoldPlan`` (``_fold_data``), and the lengths and weight readers
+    that terms share are memoised for this call (``WalkMemo``).  Fold sets with
+    equal multisets are walked together, over every permutation, and the
+    accumulator is flushed after each such batch: it holds one pending group
+    at a time and lifts it once per content.
     """
     factors = chain_denominator(chain)
     acc = ContentAccumulator(factors)
@@ -182,14 +258,15 @@ def walk_shard(chain: LambdaChain, perms: list[Perm]) -> ContentAccumulator:
     for mask in range(1 << chain.m):
         den = sorted(factors[p - 1] for p in positions if mask >> (p - 1) & 1)
         batches.setdefault(tuple(den), []).append(mask)
-    lengths = [(w, perm_length(w)) for w in perms]
+    memo = WalkMemo()
+    lengths = [(w, memo.lengths[w]) for w in perms]
     for masks in batches.values():
         for mask in masks:
             fold_list = [p for p in positions if mask >> (p - 1) & 1]
-            fold_data = _fold_data(fold_list, chain)
+            plan = _fold_data(fold_list, chain)
             for w, lw in lengths:
                 num, den, content = _walk_term_raw(w, fold_list, chain, lw,
-                                                   fold_data)
+                                                   plan, memo)
                 acc.add(content, num, den)
         acc.flush()
     return acc

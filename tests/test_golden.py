@@ -4,7 +4,9 @@ Both formulas print one canonical reduced form per coefficient, and that form
 depends on lifting every term to exactly the shared denominator before the
 single reduction in ``finalize``.  The hashes were recorded with the earlier
 dict-based accumulator, so any change to lifting, reduction or rendering
-that alters a byte shows here.
+that alters a byte shows here.  The ram-yip JSON of the benchmark's two walk
+shapes, (5,3,1,0) and (5,4,2,0), was recorded at commit 0351681, before walk
+terms were built from fold plans.
 """
 
 import contextlib
@@ -72,6 +74,9 @@ GOLDEN = {
     ((3, 2, 1, 0), "ram-yip", "text"): "cbf79774f2db0b2e8f55ba69133e47794d05103d576589fe78210a15dc5f6954",
     ((3, 2, 1, 0), "compressed", "json"): "37ddc89b07259016839f1d2a528f0ae42b6cba67049e569003fad8969de9f154",
     ((3, 2, 1, 0), "compressed", "text"): "cbf79774f2db0b2e8f55ba69133e47794d05103d576589fe78210a15dc5f6954",
+    # the two shapes of the benchmark's walk workload
+    ((5, 3, 1, 0), "ram-yip", "json"): "f11d5a25d470dfeea919401049f96b9caa7292e157e5b884565d46df49c530dc",
+    ((5, 4, 2, 0), "ram-yip", "json"): "a14890c0c31643a24c11c34692bce2926f5b8534bacf18fb334daef8e2fe01bc",
     ((4, 3, 2, 1, 0), "compressed", "json"): "aafaac15f1ced0a1cfa9d2024f62eb96454b4590fdd95d8bac58f35203275c8a",
     ((4, 3, 2, 1, 0), "compressed", "text"): "a335cd1812bbd54e3c5d48040b5dffdfc48d9fc3f942c02032e9870bdf7cf042",
 }

@@ -129,10 +129,10 @@ def test_packed_verdict_equals_rational_equality_on_perturbed_fibers(
         new = data.draw(st.sampled_from(swaps))
 
         def fold_data(fold_list, chain):
-            mu, den = real_fold_data(fold_list, chain)
+            plan = real_fold_data(fold_list, chain)
             if frozenset(fold_list) == target.folds:
-                den = den - Counter([old]) + Counter([new])
-            return mu, den
+                plan = plan._replace(den=plan.den - Counter([old]) + Counter([new]))
+            return plan
 
         patch = mock.patch.object(compression, "_fold_data", fold_data)
     with patch:

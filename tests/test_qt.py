@@ -11,6 +11,7 @@ from macdonald.qt import (
     ContentAccumulator,
     PoleError,
     RationalQT,
+    _mul_binomial,
     binomial_factor,
     l_add,
     l_eval,
@@ -26,6 +27,7 @@ from macdonald.qt import (
     rational_zero,
     symfun_add_term,
     symfun_str,
+    term_value,
 )
 
 ONE = l_one()
@@ -413,3 +415,83 @@ def test_accumulator_reuses_a_shared_den_across_flushes():
     assert out[(1, 0)] == RationalQT({(0, 0): 1, (1, 0): 1, (0, 1): -1, (1, 1): -1},
                                      [(1, 1)])
     assert out[(0, 1)] == RationalQT({(0, 0): 1, (0, 1): -1}, [(1, 1)])
+
+
+def _restart_div_binomial(f, a, b):
+    """l_div_binomial as it was before classes became dicts: sorted lists."""
+    classes = {}
+    for (x, y), c in f.items():
+        if a > 0:
+            m = x // a
+            key = (x - m * a, y - m * b)
+        else:
+            m = y // b
+            key = (x, y - m * b)
+        classes.setdefault(key, []).append((m, c))
+    out = {}
+    for (kx, ky), terms in classes.items():
+        if sum(c for _, c in terms) != 0:
+            return None
+        terms.sort()
+        pos = {m: c for m, c in terms}
+        prefix = 0
+        for j in range(terms[0][0], terms[-1][0]):
+            prefix += pos.get(j, 0)
+            if prefix:
+                out[(kx + j * a, ky + j * b)] = prefix
+    return out
+
+
+def _restart_reduce(f):
+    """rational_reduce as it was: restart the scan after every division."""
+    num = f.num
+    remaining = list(f.den)
+    changed = True
+    while changed and remaining:
+        changed = False
+        for idx, (a, b) in enumerate(remaining):
+            quot = _restart_div_binomial(num, a, b)
+            if quot is not None:
+                num = quot
+                del remaining[idx]
+                changed = True
+                break
+    return RationalQT(num, remaining)
+
+
+# 1 - q^2 t^2 and 1 - q^3 t^3 share the divisor 1 - q t; 1 - t^2 shares 1 - t
+FACTORS = [(0, 1), (0, 2), (1, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (2, 4)]
+
+
+@st.composite
+def binomial_multiples(draw):
+    """A random Laurent polynomial times random binomials, over random ones."""
+    num = draw(laurents.filter(bool))
+    for a, b in draw(st.lists(st.sampled_from(FACTORS), max_size=4)):
+        num = l_mul(num, binomial_factor(a, b))
+    return num, draw(st.lists(st.sampled_from(FACTORS), max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(binomial_multiples())
+@example(({(0, 0): 1, (2, 2): -1}, [(1, 1), (2, 2)]))
+@example(({(0, 0): 1, (1, 1): -1}, [(1, 1), (1, 1), (2, 2)]))
+def test_one_pass_reduce_equals_the_restart_loop(case):
+    num, den = case
+    f = RationalQT(num, den)
+    want = _restart_reduce(f)
+    got = rational_reduce(f)
+    assert (got.num, got.den) == (want.num, want.den)
+    for a, b in set(den):
+        assert l_div_binomial(num, a, b) == _restart_div_binomial(num, a, b)
+
+
+def test_zero_coefficients_are_dropped_from_products():
+    assert not term_value({(0, 0): 0}, Counter())
+    assert not term_value({(0, 0): 0}, Counter({(1, 1): 2}))
+    assert l_mul({(0, 0): 0, (1, 0): 1}, {(0, 0): 1}) == {(1, 0): 1}
+    assert l_mul({(0, 0): 1}, {(0, 0): 0, (1, 0): 1}) == {(1, 0): 1}
+    assert _mul_binomial({(0, 0): 0}, 1, 1) == {}
+    assert _mul_binomial({(0, 0): 0, (1, 1): 2}, 1, 1) == {(1, 1): 2, (2, 2): -2}
+    assert term_value({(0, 0): 0, (0, 1): 1}, Counter()) == RationalQT(
+        {(0, 1): 1})

@@ -1,19 +1,27 @@
 """Folding-pair classification and the alcove-walk formula."""
 
+import itertools
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macdonald.chain import Partition, build_chain
 from macdonald.fillings import compressed_sum
 from macdonald.qt import RationalQT, rational_one
 from macdonald.ramyip import (
     TermCapExceeded,
+    WalkMemo,
+    _fold_data,
+    _walk_term_raw,
     classify_folds,
     folded_weight,
     ram_yip_sum,
     walk_shard,
     walk_term,
 )
-from macdonald.weyl import all_perms, identity_perm, perm_length
+from macdonald.weyl import all_perms, identity_perm, perm_length, permute_weight
 
 
 def chain4310():
@@ -181,3 +189,43 @@ def test_walk_shard_split_and_merged_equals_unsplit():
     split.merge(walk_shard(chain, perms[2:]))
     assert split.sums == whole.sums
     assert split.finalize() == whole.finalize()
+
+
+def _walk_shapes() -> list[Partition]:
+    """Every regular partition with at most 4 parts, parts <= 5."""
+    return [Partition(body + (0,))
+            for rows in (1, 2, 3)
+            for body in itertools.combinations(range(5, 0, -1), rows)]
+
+
+def reference_walk_term(w, fold_list, chain):
+    """A walk term read off the module docstring, one fold at a time."""
+    cf = classify_folds(w, fold_list, chain)
+    entries = chain.entries
+    parity = perm_length(w) - perm_length(cf.final) - len(fold_list)
+    assert parity % 2 == 0
+    qexp = sum(entries[p - 1].mult for p in cf.minus)
+    texp = parity // 2 + sum(entries[p - 1].height for p in cf.minus)
+    den = Counter((entries[p - 1].mult, entries[p - 1].height) for p in fold_list)
+    return ({(qexp, texp): 1}, den,
+            permute_weight(w, folded_weight(fold_list, chain)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_walk_shapes()), st.data())
+def test_walk_term_with_and_without_a_plan_matches_the_definition(lam, data):
+    chain = build_chain(lam)
+    fold_sets = data.draw(st.lists(
+        st.sets(st.integers(1, chain.m)) if chain.m else st.just(set()),
+        min_size=1, max_size=3))
+    memo = WalkMemo()      # shared by every fold set, as in walk_shard
+    for folds in fold_sets:
+        fold_list = sorted(folds)
+        plan = _fold_data(fold_list, chain)
+        assert plan.k == len(fold_list)
+        for w in all_perms(lam.n):
+            want = reference_walk_term(w, fold_list, chain)
+            assert _walk_term_raw(w, fold_list, chain) == want
+            assert _walk_term_raw(w, fold_list, chain, None, plan, memo) == want
+            assert _walk_term_raw(w, fold_list, chain, perm_length(w), plan,
+                                  memo) == want
