@@ -14,10 +14,10 @@ That is deliberate: the verifier stays independent of the column structure it
 verifies.
 
 Each class identity is decided exactly on integers.  Both sides are lifted
-to a common denominator and packed (Kronecker substitution) into one window
-of ``qt.PackedWindow``, fixed for the whole run by ``ClassWindow`` from
-proven bounds on every exponent and coefficient, so the identity holds
-exactly when two Python ints are equal.  The filling's term is never
+to a common denominator and packed (Kronecker substitution) into one
+``qt.PackedWindow``, fixed for the whole run by ``ClassWindow`` from the
+bounds each formula proves for its terms, so the identity holds exactly
+when two Python ints are equal.  The filling's term is never
 reduced on that path; ``RationalQT`` values are built only to render a
 failing class, or on demand.
 """
@@ -46,6 +46,7 @@ from .fillings import (
     compressed_term,
     diagram_denominator,
     enumerate_nonattacking,
+    filling_t_range,
     shape_of,
 )
 from .qt import (
@@ -54,7 +55,6 @@ from .qt import (
     Laurent,
     PackedWindow,
     RationalQT,
-    _digit_bits,
     rational_reduce,
     rational_str,
 )
@@ -65,6 +65,7 @@ from .ramyip import (
     _walk_term_raw,
     chain_denominator,
     check_term_cap,
+    walk_t_range,
 )
 from .weyl import (
     Perm,
@@ -260,30 +261,20 @@ class FiberSum:
 class ClassWindow:
     """The packed window and the memos shared by the fibers of one check.
 
-    One ``qt.PackedWindow`` (with ``qlo = 0``) holds both sides of every
-    class identity, so each side is one integer.  Its bounds are proven from
-    the chain, the diagram and the largest fiber:
+    One ``qt.PackedWindow`` holds both sides of every class identity, so
+    each side is one integer.  Its numerators are the walk terms
+    (``ramyip.walk_t_range``) and, given a ``shape``, the filling terms
+    (``fillings.filling_t_range``), and its weight is ``max_fiber``, the
+    most walk terms a fiber holds.  Both sides of a class are lifted to
+    ``lcm | den_r``, with ``lcm`` the lcm of the fiber's walk denominators
+    and ``den_r`` the filling's: a walk term over ``den`` by ``(1-t)^|den|``,
+    the binomials of ``lcm - den`` and then those of ``den_r - lcm``, the
+    filling's numerator by ``(1-t)^|den_r|`` and the binomials of
+    ``lcm - den_r``.  Either way that is one factor per element of
+    ``lcm | den_r``, a sub-multiset of the chain and diagram denominators
+    together, which the window takes as its factors.
 
-    * t exponents of numerators.  Along a walk each fold at a root of height
-      h changes the length by 1 .. 2h-1, down for a positive fold and up for a
-      negative one, so it adds 0 .. 2h-2 to ``len(w) - len(w*phi) - |J|``
-      plus twice the t power of the negative folds: a walk term's t exponent
-      lies in ``0 .. sum(h - 1)`` over the chain.  A filling term's
-      ``n(lambda) - inv`` lies in ``n(lambda) - A .. n(lambda) + L``, with A
-      the attacking pairs of the diagram and L the legs of the cells that
-      have a left neighbour.  q exponents are never negative.
-    * Lifts.  Both sides of a class are lifted by binomials of
-      ``lcm | den_r``, a sub-multiset of the union of the chain and diagram
-      denominators, plus ``(1-t)`` once per factor of a term's own
-      denominator; together that adds at most ``T``, the union's t degree, to
-      the t exponent, and ``span`` covers the numerators' range plus ``T``.
-    * Coefficients.  Each lifted term's l1 norm is its coefficient times at
-      most 2 per binomial, and a class has at most ``K = m + d`` binomials on
-      either side (chain positions plus diagram cells), so ``bits`` keeps
-      ``2^(bits-1)`` above ``max_fiber * 2^K``.  A fiber whose coefficients
-      sum to ``budget = 2^(bits-1-K)`` or more does not fit.
-
-    A numerator outside these ranges, or a fiber over the budget, raises
+    A numerator outside the window, or a fiber over its budget, raises
     ``InternalInvariantError``: no packed comparison ever reads a wrapped
     digit.  Without a ``shape`` the window holds fiber sums only.
 
@@ -298,24 +289,16 @@ class ClassWindow:
     def __init__(self, chain: LambdaChain, max_fiber: int,
                  shape: Shape | None = None):
         self.chain = chain
-        chain_den = Counter(chain_denominator(chain))
-        t_hi = sum(b - 1 for _a, b in chain_den.elements())
-        t_lo = 0
+        t_lo, t_hi = walk_t_range(chain)
         if shape is None:
             self.diagram: Counter = Counter()
         else:
             self.diagram = Counter(diagram_denominator(shape))
-            inversions = sum(len(attackers) for attackers in shape.attackers)
-            legs = sum(b - 1 for _a, b in self.diagram.elements())
-            t_lo = min(t_lo, shape.n_lambda - inversions)
-            t_hi = max(t_hi, shape.n_lambda + legs)
-        union = chain_den | self.diagram
-        lift_tdeg = sum(max(b, 1) * mult for (_a, b), mult in union.items())
-        factors = chain.m + sum(self.diagram.values())
-        bits = _digit_bits(max(max_fiber, 1) << factors)
-        self.t_lo, self.t_hi = t_lo, t_hi
-        self.budget = 1 << (bits - 1 - factors)
-        self.packing = PackedWindow(0, t_lo, t_hi + lift_tdeg - t_lo + 1, bits)
+            f_lo, f_hi = filling_t_range(shape)
+            t_lo, t_hi = min(t_lo, f_lo), max(t_hi, f_hi)
+        self.packing = PackedWindow.bounded(
+            [*chain_denominator(chain), *self.diagram.elements()], t_lo, t_hi,
+            max_fiber)
         self.multisets: list[tuple[DenomFactor, ...]] = []
         self._ids: dict[tuple[DenomFactor, ...], int] = {}
         self.memo = WalkMemo()
@@ -378,28 +361,10 @@ class ClassWindow:
                     f"part of the diagram denominator")
             lcm = Counter(self.multisets[lhs.lcm_id])
             extra = self._extra[key] = list((den_r - lcm).items())
-        rhs_lift = self.lift(*key)
         packing = self.packing
-        left = packing.times_binomials(lhs.packed, extra)
-        right = weight = 0
-        for (a, b), c in num_r.items():
-            self.check_monomial(a, b)
-            weight += abs(c)
-            right += (rhs_lift * c) << packing.shift(a, b)
-        self.check_weight(weight)
-        return left == right
-
-    def check_monomial(self, a: int, b: int) -> None:
-        if a < 0 or not self.t_lo <= b <= self.t_hi:
-            raise InternalInvariantError(
-                f"numerator q^{a} t^{b} outside the packed window "
-                f"(q >= 0, t in {self.t_lo}..{self.t_hi})")
-
-    def check_weight(self, weight: int) -> None:
-        if weight >= self.budget:
-            raise InternalInvariantError(
-                f"coefficients summing to {weight} overflow the packed "
-                f"window's budget {self.budget}")
+        right, weight = packing.pack(num_r, self.lift(*key))
+        packing.check_weight(weight)
+        return packing.times_binomials(lhs.packed, extra) == right
 
 
 @dataclass(slots=True)
@@ -513,8 +478,7 @@ def class_sum(pairs: list[FoldingPair], chain: LambdaChain,
             perms.append(pair.w)
     batches = [(window.fold_set(folds), perms) for folds, perms in by_folds.items()]
     lcm_id = window.lcm(frozenset(entry[2] for entry, _perms in batches))
-    t_lo, t_hi = window.t_lo, window.t_hi
-    span, bits = window.packing.span, window.packing.bits
+    packing = window.packing
     memo = window.memo
     total = weight = 0
     contents_ok = True
@@ -526,12 +490,10 @@ def class_sum(pairs: list[FoldingPair], chain: LambdaChain,
             if content != expected_content:
                 contents_ok = False
                 continue
-            for (a, b), c in num.items():
-                if a < 0 or not t_lo <= b <= t_hi:
-                    window.check_monomial(a, b)
-                weight += abs(c)
-                total += (lift * c) << bits * (a * span + b - t_lo)
-    window.check_weight(weight)
+            value, num_weight = packing.pack(num, lift)
+            total += value
+            weight += num_weight
+    packing.check_weight(weight)
     return FiberSum(total, lcm_id, window), contents_ok
 
 

@@ -47,6 +47,7 @@ from .qt import (
     Content,
     ContentAccumulator,
     DenomFactor,
+    PackedWindow,
     RationalQT,
     SymFun,
     term_value,
@@ -547,16 +548,52 @@ def diagram_denominator(shape: Shape) -> list[DenomFactor]:
     ]
 
 
-def compressed_shard(lam: Partition, n: int,
-                     prefixes: list[tuple[int, ...]]) -> ContentAccumulator:
+def filling_t_range(shape: Shape) -> tuple[int, int]:
+    """The t exponents of filling terms: ``0 .. n(lambda)``.
+
+    A numerator is q^maj t^(n(lambda) - inv), and maj sums arms, so q >= 0;
+    inv is |Inv| minus the legs of the Des cells.  Take a cell u = (i, j)
+    with a left neighbour l = (i, j+1), and a cell w = (k, j) below it.  w
+    attacks both u and l, so in a nonattacking filling its value differs
+    from both, and w is read after u and before l.
+
+    * If u is in Des (sigma(u) > sigma(l)), one of (u, w) and (w, l) is an
+      inversion, whatever sigma(w) is.  Either pair names its triple, and u
+      has leg(u) cells w below it, so |Inv| >= the legs of Des: inv >= 0.
+    * If u is not in Des (sigma(u) <= sigma(l)) and (w, l) is an inversion,
+      then sigma(w) > sigma(u), so (u, w) is not one.  Every attacking pair
+      across two columns is such a (w, l), so the inversions across columns
+      are at most the legs of Des plus the same-column pairs that are not
+      inversions.  Same-column pairs number sum_j C(lambda'_j, 2) =
+      n(lambda), so |Inv| <= n(lambda) + the legs of Des: inv <= n(lambda).
+    """
+    return 0, shape.n_lambda
+
+
+def filling_window(lam: Partition, n: int) -> PackedWindow:
+    """The packed window of the filling formula's sums.
+
+    The shared denominator is the diagram's, numerators lie in
+    ``filling_t_range``, and each nonattacking filling contributes one
+    monomial with coefficient 1; the fillings are counted exactly on the
+    cached column table.
+    """
+    shape = shape_of(lam.parts)
+    return PackedWindow.bounded(diagram_denominator(shape), *filling_t_range(shape),
+                                count_nonattacking(lam, n))
+
+
+def compressed_shard(lam: Partition, n: int, prefixes: list[tuple[int, ...]],
+                     window: PackedWindow) -> ContentAccumulator:
     """Accumulate filling terms whose first column matches one of prefixes.
 
+    The sums are packed in ``window``, the caller's ``filling_window``.
     Terms are grouped by denominator multiset and content over the whole
     shard, and each group is lifted once when the shard ends.
     """
     shape = shape_of(lam.parts)
     table = column_table(lam.parts, n, "paper")
-    acc = ContentAccumulator(diagram_denominator(shape))
+    acc = ContentAccumulator(window)
     for vals in _enumerate_values(table, prefixes):
         num, den, content = _term_raw(shape, vals, n)
         acc.add(content, num, den)
@@ -573,4 +610,5 @@ def compressed_sum(lam: Partition, n: int, jobs: int = 1) -> SymFun:
         from .parallel import parallel_compressed_sum
 
         return parallel_compressed_sum(lam, n, jobs)
-    return compressed_shard(lam, n, column_prefixes(lam, n)).finalize()
+    return compressed_shard(lam, n, column_prefixes(lam, n),
+                            filling_window(lam, n)).finalize()

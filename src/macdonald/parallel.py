@@ -1,11 +1,14 @@
 """Deterministic multiprocess sharding for the exponential enumerations.
 
-All parallel paths follow one pattern: split the work into shards by a fixed
-rule (permutations for the walk formula, first-column assignments for
-fillings), evaluate shards in worker processes, and merge the partial results
-in shard order.  Because per-content accumulation is a plain integer-dict sum
-over a shared denominator, the merged result is bit-identical to the serial
-one regardless of scheduling or worker count.
+Both sums follow one pattern: split the work into shards by a fixed rule
+(permutations for the walk formula, first-column assignments for fillings),
+evaluate shards in worker processes, and merge the partial results in shard
+order.  The parent fixes the packed window of the whole computation and
+ships it with every task, so each shard returns one packed integer per
+content and the merge adds integers: the merged result is bit-identical to
+the serial one regardless of scheduling or worker count.  Counting is a
+transfer-matrix push that takes milliseconds, so it runs in the calling
+process as one shard.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from .fillings import (
     column_prefixes,
     column_table,
     compressed_shard,
-    diagram_denominator,
-    shape_of,
+    filling_window,
 )
-from .qt import ContentAccumulator, SymFun
-from .ramyip import chain_denominator, check_term_cap, walk_shard
+from .qt import Content, ContentAccumulator, SymFun
+from .ramyip import check_term_cap, walk_shard, walk_window
 from .weyl import all_perms
 
 
@@ -51,44 +53,46 @@ def _chunks(items: list, k: int) -> list[list]:
 
 
 def _merge_into(acc: ContentAccumulator, shard_sums) -> None:
-    """Add each shard's lifted sums to acc as it arrives, in shard order.
+    """Add each shard's packed sums to acc as it arrives, in shard order.
 
     A shard's dict is dropped before the next one is awaited, so the parent
     holds the merged sums and at most two shards' (one arriving).
     """
     for sums in shard_sums:
-        for content, num in sums.items():
-            acc.add_lifted(content, num)
-        sums = num = None
+        for content, value in sums.items():
+            acc.add_lifted(content, value)
+        sums = value = None
 
 
-def _ry_worker(args) -> dict:
-    parts, perms = args
-    chain = build_chain(Partition(parts))
-    return walk_shard(chain, perms).sums
+def _ry_worker(args) -> dict[Content, int]:
+    parts, perms, window = args
+    return walk_shard(build_chain(Partition(parts)), perms, window).packed
 
 
 def parallel_ram_yip_sum(lam: Partition, n: int, jobs: int) -> SymFun:
     chain = build_chain(lam)
     check_term_cap(chain)
+    window = walk_window(chain)
     shards = _chunks(all_perms(n), jobs)
-    acc = ContentAccumulator(chain_denominator(chain))
+    acc = ContentAccumulator(window)
     with get_context().Pool(len(shards)) as pool:
-        _merge_into(acc, pool.imap(_ry_worker, [(lam.parts, s) for s in shards]))
+        _merge_into(acc, pool.imap(_ry_worker,
+                                   [(lam.parts, s, window) for s in shards]))
     return acc.finalize()
 
 
-def _fill_worker(args) -> dict:
-    parts, n, prefixes = args
-    return compressed_shard(Partition(parts), n, prefixes).sums
+def _fill_worker(args) -> dict[Content, int]:
+    parts, n, prefixes, window = args
+    return compressed_shard(Partition(parts), n, prefixes, window).packed
 
 
 def parallel_compressed_sum(lam: Partition, n: int, jobs: int) -> SymFun:
-    shape = shape_of(lam.parts)
+    window = filling_window(lam, n)
     shards = _chunks(column_prefixes(lam, n), jobs)
-    acc = ContentAccumulator(diagram_denominator(shape))
+    acc = ContentAccumulator(window)
     with get_context().Pool(len(shards)) as pool:
-        _merge_into(acc, pool.imap(_fill_worker, [(lam.parts, n, s) for s in shards]))
+        _merge_into(acc, pool.imap(_fill_worker,
+                                   [(lam.parts, n, s, window) for s in shards]))
     return acc.finalize()
 
 
@@ -97,15 +101,8 @@ def _count_worker(args) -> int:
     return _count_values(column_table(parts, n, convention), prefixes)
 
 
-def parallel_count(lam: Partition, n: int, convention: str, jobs: int) -> int:
+def parallel_count(lam: Partition, n: int, convention: str) -> int:
+    """The number of nonattacking fillings, counted here as one shard."""
     check_filling_cap(lam, n)
-    if jobs <= 1:
-        from .fillings import count_nonattacking
-
-        return count_nonattacking(lam, n, convention)
-    shards = _chunks(column_prefixes(lam, n, convention), jobs)
-    with get_context().Pool(len(shards)) as pool:
-        return sum(
-            pool.map(_count_worker,
-                     [(lam.parts, n, convention, s) for s in shards])
-        )
+    return _count_worker((lam.parts, n, convention,
+                          column_prefixes(lam, n, convention)))

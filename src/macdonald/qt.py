@@ -16,18 +16,19 @@ Three layers:
     in the canonical form where no factor divides the numerator exactly.
   * SymFun: a finite map from monomial content vectors to RationalQT
     coefficients, plus an accumulator used to collect formula terms per
-    content over a fixed common denominator.  While it collects, the
-    accumulator keeps each content's lifted sum as one packed Python int
-    (Kronecker substitution): q^a t^b is a signed digit at slot
-    (a - qlo) * span + (b - tlo).  The window (qlo, tlo, span) covers every
-    pending exponent plus the largest t degree a lift can add, so no row
-    wraps into the next, and the digit width stays above a running bound on
-    every coefficient, so no digit overflows.  Sums of packed ints, and
-    products with a binomial (a shift and a subtraction), are therefore
-    exactly the dict arithmetic, done at C speed; the sums are unpacked into
-    dicts before anything reads them.  ``PackedWindow`` holds the window
-    and its shift, binomial-product and unpack steps, which the per-class
-    check in ``compression`` shares.
+    content over a fixed common denominator.  The accumulator keeps each
+    content's lifted sum as one packed Python int (Kronecker substitution):
+    q^a t^b is a signed digit at slot a * span + (b - t_lo) of a
+    ``PackedWindow``.  The window is fixed once per computation from bounds
+    that each formula proves next to its terms (q >= 0, a t range and a term
+    count: ``ramyip.walk_window``, ``fillings.filling_window``): ``span``
+    covers the t range plus the largest t degree a lift can add, so no row
+    wraps into the next, and the digit width covers the term count times the
+    lifts' growth, so no digit overflows.  Sums of packed ints, and products
+    with a binomial (a shift and a subtraction), are therefore exactly the
+    dict arithmetic, done at C speed; each sum is unpacked once, to be
+    reduced.  The per-class check in ``compression`` packs in the same
+    window type.
 
 Every term of both formulas has the shape
 
@@ -49,6 +50,8 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
+
+from .chain import InternalInvariantError
 
 Monomial = tuple[int, int]            # (a, b) standing for q^a * t^b
 Laurent = dict[Monomial, int]         # sparse, zero coefficients never stored
@@ -430,22 +433,59 @@ def _unpack_digits(value: int, bits: int) -> Iterator[tuple[int, int]]:
 class PackedWindow(NamedTuple):
     """A Kronecker packing of Laurent polynomials into one Python int.
 
-    q^a t^b is the signed digit at slot ``(a - qlo) * span + (b - tlo)``,
-    each slot ``bits`` wide.  Packing is a ring map for exponents inside the
-    window, so sums and products of packed ints are the dict arithmetic; the
-    caller keeps every coefficient below ``2^(bits-1)`` in absolute value and
-    every t exponent in ``tlo .. tlo + span - 1``, and then two packed ints are
-    equal exactly when their polynomials are.
+    q^a t^b is the signed digit at slot ``a * span + (b - t_lo)``, each slot
+    ``bits`` wide.  Packing is a ring map for exponents inside the window, so
+    sums and products of packed ints are the dict arithmetic, and two packed
+    ints are equal exactly when their polynomials are, as long as no row
+    wraps into the next and no digit overflows.  ``bounded`` is the one
+    constructor: it fixes the window once, before any term is packed, from
+    proven bounds on the numerators, and ``check_monomial`` and
+    ``check_weight`` hold every numerator to those bounds.
     """
 
-    qlo: int
-    tlo: int
-    span: int
-    bits: int
+    factors: tuple[DenomFactor, ...]    # the shared denominator, sorted
+    t_lo: int                           # numerators have q^a t^b with a >= 0
+    t_hi: int                           # and t_lo <= b <= t_hi
+    span: int                           # slots per power of q
+    bits: int                           # digit width
+    budget: int                         # the least weight that does not fit
 
-    def shift(self, a: int, b: int) -> int:
-        """The bit offset of the slot of q^a t^b."""
-        return self.bits * ((a - self.qlo) * self.span + b - self.tlo)
+    @classmethod
+    def bounded(cls, factors: Iterable[DenomFactor], t_lo: int, t_hi: int,
+                weight: int) -> "PackedWindow":
+        """The window for numerators inside ``t_lo .. t_hi`` of total ``weight``.
+
+        Every numerator is lifted to the shared denominator ``factors`` by
+        one factor per element of it: the element itself when the term's own
+        denominator lacks it, ``1 - t`` in its place otherwise.  So a lift
+        adds at most ``sum(max(b, 1))`` to the t exponent, and ``span``
+        covers ``t_lo`` up to ``t_hi`` plus that degree: no row wraps.  Each
+        of the K factors at most doubles a coefficient's l1 norm, so a lifted
+        sum of numerators whose coefficients total ``weight`` in absolute
+        value has every coefficient below ``weight * 2^K``, and ``bits``
+        keeps ``2^(bits-1)`` above that: no digit overflows.  ``budget`` is
+        ``2^(bits-1-K)``, the least total weight that would not fit.
+        """
+        factors = tuple(sorted(factors))
+        lift_tdeg = sum(max(b, 1) for _a, b in factors)
+        bits = _digit_bits(max(weight, 1) << len(factors))
+        return cls(factors, t_lo, t_hi, t_hi + lift_tdeg - t_lo + 1, bits,
+                   1 << (bits - 1 - len(factors)))
+
+    def pack(self, num: Laurent, lift: int = 1) -> tuple[int, int]:
+        """``num * lift`` packed, and the weight of ``num``.
+
+        ``lift`` is a packed lift (``times_binomials``); each monomial of
+        ``num`` shifts it to its slot, after ``check_monomial``.
+        """
+        t_lo, t_hi, span, bits = self.t_lo, self.t_hi, self.span, self.bits
+        value = weight = 0
+        for (a, b), c in num.items():
+            if a < 0 or not t_lo <= b <= t_hi:
+                self.check_monomial(a, b)
+            weight += abs(c)
+            value += (lift * c) << bits * (a * span + b - t_lo)
+        return value, weight
 
     def times_binomials(self, value: int,
                         factors: Iterable[tuple[DenomFactor, int]]) -> int:
@@ -459,57 +499,60 @@ class PackedWindow(NamedTuple):
 
     def unpack(self, value: int) -> Laurent:
         """The polynomial of a packed int, as a dict."""
-        qlo, tlo, span = self.qlo, self.tlo, self.span
-        return {(qlo + i // span, tlo + i % span): c
+        t_lo, span = self.t_lo, self.span
+        return {(i // span, t_lo + i % span): c
                 for i, c in _unpack_digits(value, self.bits)}
+
+    def check_monomial(self, a: int, b: int) -> None:
+        if a < 0 or not self.t_lo <= b <= self.t_hi:
+            raise InternalInvariantError(
+                f"numerator q^{a} t^{b} outside the packed window "
+                f"(q >= 0, t in {self.t_lo}..{self.t_hi})")
+
+    def check_weight(self, weight: int) -> None:
+        if weight >= self.budget:
+            raise InternalInvariantError(
+                f"coefficients summing to {weight} overflow the packed "
+                f"window's budget {self.budget}")
 
 
 class ContentAccumulator:
-    """Collects bare formula terms per content over a fixed shared denominator.
+    """Collects bare formula terms per content over a window's shared denominator.
 
     ``add(content, num, den)`` takes a bare term: a numerator ``num`` (the
     monomial q^a t^b for both formulas) standing for
     ``num * (1-t)^|den| / prod(den)``, where ``den`` is a sub-multiset of the
-    shared denominator.  Nothing is multiplied out on ``add``: numerators are
-    summed into a group keyed by ``den`` and ``content``.  The group of each
-    ``den`` object is memoised by identity until the next flush, so callers
-    that pass one shared multiset for many terms freeze it into a key once;
-    ``den`` must not be changed after it is passed.  ``flush`` lifts each
-    group once, by ``(1-t)^|den|`` times the binomials of the shared
-    denominator that ``den`` lacks, into the per-content sums; ``sums`` and
-    ``finalize`` flush first, and ``merge`` takes the other accumulator's
-    flushed sums.
+    shared denominator ``window.factors``.  Nothing is multiplied out on
+    ``add``: numerators are summed into a group keyed by ``den`` and
+    ``content``.  The group of each ``den`` object is memoised by identity
+    until the next flush, so callers that pass one shared multiset for many
+    terms freeze it into a key once; ``den`` must not be changed after it is
+    passed.  ``flush`` lifts each group once, by ``(1-t)^|den|`` times the
+    binomials of the shared denominator that ``den`` lacks, into the
+    per-content sums; ``finalize`` flushes first, and ``merge`` and
+    ``add_lifted`` add another accumulator's sums.
 
-    Between flushes each content's lifted sum is one packed integer (Kronecker
-    substitution): q^a t^b is the digit at slot ``(a - qlo) * span + (b - tlo)``,
-    each slot ``bits`` wide, and coefficients are signed digits.  A lift is
-    then built by ``x -= x << shift`` per binomial, and a numerator monomial
-    adds ``(lift * c) << shift(a, b)``, all C-level integer arithmetic.  This
-    is exact as long as no digit overflows and no row wraps, which the window
-    guarantees: ``span`` covers the numerators' t range plus the largest t
-    degree of any lift, ``sum(max(b, 1) * mult)`` over the shared denominator,
-    and ``bits`` keeps ``2^(bits-1)`` above a running bound on every
-    coefficient, ``sum |c| * 2^(number of lift factors)`` (the lift's l1 norm
-    is at most 2 per factor).  A flush that leaves the window or the bound
-    first unpacks every packed sum into plain dicts, then packs afresh in a
-    wider window; ``sums`` unpacks and drops the packed integers.  Lifted sums
-    are therefore the same integer dicts over the shared denominator whatever
-    the term order, flush points, window history or sharding, and a single
-    reduction per content in ``finalize`` yields canonical coefficients.
+    Each content's lifted sum is one integer packed in ``window`` (``packed``),
+    a ``PackedWindow`` fixed at construction from the formula's proven
+    bounds (``ramyip.walk_window``, ``fillings.filling_window``).  A lift is
+    built by ``x -= x << shift`` per binomial, and a numerator monomial adds
+    the lift times its coefficient, shifted to its slot, all C-level integer
+    arithmetic.  Each flush checks every numerator monomial against the
+    window, and the running weight of the flushed coefficients against its
+    budget, so a digit never wraps unnoticed.  Sums stay packed until
+    ``finalize`` unpacks each content once and reduces it; they are the same
+    integers whatever the term order, flush points or sharding.
     """
 
-    def __init__(self, den: Iterable[DenomFactor]):
-        self.den = Counter(den)
-        self._den_tuple = tuple(sorted(self.den.elements()))
-        self._lifted: dict[Content, Laurent] = {}
+    def __init__(self, window: PackedWindow):
+        self.window = window
+        self.den = Counter(window.factors)
+        self.packed: dict[Content, int] = {}
+        self.weight = 0         # sum of |coefficient| over the flushed numerators
         self._groups: dict[frozenset, dict[Content, Laurent]] = {}
         # the group of each ``den`` object passed to ``add`` since the last
         # flush; holding the object keeps its id from being reused meanwhile
         self._den_groups: dict[int, tuple[Counter, dict[Content, Laurent]]] = {}
-        self._packed: dict[Content, int] = {}
-        self._window: PackedWindow | None = None
-        self._bound = 0         # bound on every |coefficient| of the packed sums
-        self._lift_tdeg = sum(max(b, 1) * mult for (_a, b), mult in self.den.items())
 
     def add(self, content: Content, num: Laurent, den: Counter[DenomFactor]) -> None:
         memo = self._den_groups.get(id(den))
@@ -529,103 +572,56 @@ class ContentAccumulator:
 
     def flush(self) -> None:
         """Lift every pending (den, content) group into the per-content sums."""
-        for key in self._groups:
-            den = Counter(dict(key))
-            if den - self.den:
-                raise ValueError(
-                    f"term denominator {sorted(den.elements())} is not part of "
-                    f"the shared denominator {list(self._den_tuple)}"
-                )
-        nums = [num for group in self._groups.values() for num in group.values()]
-        exps = [m for num in nums for m in num]
-        if exps:
-            weight = sum(abs(c) for num in nums for c in num.values())
-            self._fit(min(a for a, _b in exps), min(b for _a, b in exps),
-                      max(b for _a, b in exps) + self._lift_tdeg,
-                      weight << len(self._den_tuple))
-        qlo, tlo, span, bits = self._window or (0, 0, 0, 0)
-        packed = self._packed
+        window, packed, weight = self.window, self.packed, self.weight
         for key, group in self._groups.items():
-            # with no exponent pending every numerator cancelled: nothing to lift
-            lift = self._packed_lift(dict(key)) if exps else 0
+            lift = self._packed_lift(dict(key))
             for content, num in group.items():
-                total = packed.get(content, 0)
-                for (a, b), c in num.items():
-                    total += (lift * c) << bits * ((a - qlo) * span + b - tlo)
-                packed[content] = total
+                value, num_weight = window.pack(num, lift)
+                packed[content] = packed.get(content, 0) + value
+                weight += num_weight
+        window.check_weight(weight)
+        self.weight = weight
         self._groups.clear()
         self._den_groups.clear()
 
     def _packed_lift(self, den: dict[DenomFactor, int]) -> int:
         """(1-t)^|den| times the binomials ``den`` lacks, as a packed integer."""
-        missing = [(f, mult - den.get(f, 0)) for f, mult in self.den.items()]
+        shared = self.den
+        if any(mult > shared[f] for f, mult in den.items()):
+            raise ValueError(
+                f"term denominator {sorted(Counter(den).elements())} is not part "
+                f"of the shared denominator {list(self.window.factors)}")
+        missing = [(f, mult - den.get(f, 0)) for f, mult in shared.items()]
         missing.append((ONE_MINUS_T, sum(den.values())))
-        return self._window.times_binomials(1, missing)
+        return self.window.times_binomials(1, missing)
 
-    def _fit(self, qlo: int, tlo: int, thi: int, weight: int) -> None:
-        """Make the window hold q^qlo.., t^tlo..t^thi and ``weight`` more."""
-        if self._window is not None:
-            old_q, old_t, span, bits = self._window
-            old_thi = old_t + span - 1
-            bound = self._bound + weight
-            if (qlo >= old_q and tlo >= old_t and thi <= old_thi
-                    and bound < 1 << (bits - 1)):
-                self._bound = bound
-                return
-            self._unpack()
-            # widen a growing side by one lift degree, so walks repack rarely
-            if tlo < old_t:
-                tlo -= self._lift_tdeg
-            if thi > old_thi:
-                thi += self._lift_tdeg
-            qlo, tlo, thi = min(qlo, old_q), min(tlo, old_t), max(thi, old_thi)
-        self._window = PackedWindow(qlo, tlo, thi - tlo + 1, _digit_bits(weight))
-        self._bound = weight
-
-    def _unpack(self) -> None:
-        """Move every packed sum into the dict sums, dropping the integers."""
-        packed, lifted = self._packed, self._lifted
-        for content in list(packed):
-            value = packed.pop(content)
-            slot = lifted.setdefault(content, {})
-            if value:
-                _add_into(slot, self._window.unpack(value))
-        self._window = None
-        self._bound = 0
-
-    @property
-    def sums(self) -> dict[Content, Laurent]:
-        """Per-content numerators over the shared denominator, flushed."""
-        self.flush()
-        self._unpack()
-        return self._lifted
-
-    def add_lifted(self, content: Content, num: Laurent) -> None:
-        slot = self._lifted.get(content)
-        if slot is None:
-            self._lifted[content] = dict(num)
-        else:
-            _add_into(slot, num)
+    def add_lifted(self, content: Content, value: int) -> None:
+        """Add a lifted sum packed in this accumulator's window."""
+        self.packed[content] = self.packed.get(content, 0) + value
 
     def merge(self, other: "ContentAccumulator") -> None:
-        if other._den_tuple != self._den_tuple:
-            raise ValueError("cannot merge accumulators over different denominators")
-        for content, num in other.sums.items():
-            self.add_lifted(content, num)
+        if other.window != self.window:
+            raise ValueError("cannot merge accumulators over different windows")
+        other.flush()
+        self.weight += other.weight
+        self.window.check_weight(self.weight)
+        for content, value in other.packed.items():
+            self.add_lifted(content, value)
 
     def finalize(self) -> SymFun:
-        """Reduce each content's sum; this empties the accumulator.
+        """Unpack and reduce each content's sum; this empties the accumulator.
 
-        Each lifted sum is dropped as soon as it is reduced, so the lifted and
+        Each packed sum is dropped as soon as it is reduced, so the lifted and
         the reduced forms of the whole expansion are never held at once.
         """
+        self.flush()
         out: SymFun = {}
-        sums = self.sums
-        for content in sorted(sums):
-            num = sums.pop(content)
-            if not num:
+        packed, window = self.packed, self.window
+        for content in sorted(packed):
+            value = packed.pop(content)
+            if not value:
                 continue
-            coef = rational_reduce(RationalQT(num, self._den_tuple))
+            coef = rational_reduce(RationalQT(window.unpack(value), window.factors))
             if coef:
                 out[content] = coef
         return out

@@ -28,7 +28,14 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .chain import InternalInvariantError, LambdaChain, Partition, build_chain
-from .qt import Content, ContentAccumulator, RationalQT, SymFun, term_value
+from .qt import (
+    Content,
+    ContentAccumulator,
+    PackedWindow,
+    RationalQT,
+    SymFun,
+    term_value,
+)
 from .weyl import (
     Perm,
     Weight,
@@ -51,18 +58,23 @@ def term_cap() -> int:
     return int(raw) if raw else DEFAULT_TERM_CAP
 
 
+def folding_pair_count(chain: LambdaChain) -> int:
+    """2^m * n!: every fold subset of the chain with every permutation."""
+    return (1 << chain.m) * math.factorial(chain.partition.n)
+
+
 def folding_pairs_text(chain: LambdaChain) -> str:
     """The folding-pair count 2^m * n!, written as that formula past 1024 bits.
 
     Python refuses to convert an int of over 4300 digits to text.
     """
     n = chain.partition.n
-    total = (1 << chain.m) * math.factorial(n)
+    total = folding_pair_count(chain)
     return str(total) if total.bit_length() <= 1024 else f"2^{chain.m} * {n}!"
 
 
 def check_term_cap(chain: LambdaChain, cap: int | None = None) -> int:
-    total = (1 << chain.m) * math.factorial(chain.partition.n)
+    total = folding_pair_count(chain)
     cap = term_cap() if cap is None else cap
     if total > cap:
         raise TermCapExceeded(
@@ -241,18 +253,46 @@ def chain_denominator(chain: LambdaChain) -> list[tuple[int, int]]:
     return [(e.mult, e.height) for e in chain.entries]
 
 
-def walk_shard(chain: LambdaChain, perms: list[Perm]) -> ContentAccumulator:
+def walk_t_range(chain: LambdaChain) -> tuple[int, int]:
+    """The t exponents of walk-term numerators: ``0 .. sum(h - 1)`` over the chain.
+
+    A numerator is q^a t^b, where a sums the multiplicities of the negative
+    folds, so a >= 0, and 2b is ``len(w) - len(w*phi) - |J|`` plus twice the
+    heights of the negative folds.  A fold at a root (i, k) of height
+    h = k - i changes the running length by an odd d in 1 .. 2h-1, down for
+    a positive fold and up for a negative one.  So a positive fold adds
+    d - 1 to 2b and a negative one 2h - d - 1, each in 0 .. 2h-2, and b
+    lies in ``0 .. sum(h - 1)`` over the folds, hence over the chain.
+    """
+    return 0, sum(b - 1 for _a, b in chain_denominator(chain))
+
+
+def walk_window(chain: LambdaChain) -> PackedWindow:
+    """The packed window of the walk formula's sums.
+
+    The shared denominator is the chain's, numerators lie in
+    ``walk_t_range``, and each of the 2^m * n! folding pairs contributes one
+    monomial with coefficient 1.
+    """
+    return PackedWindow.bounded(chain_denominator(chain), *walk_t_range(chain),
+                                folding_pair_count(chain))
+
+
+def walk_shard(chain: LambdaChain, perms: list[Perm],
+               window: PackedWindow) -> ContentAccumulator:
     """Accumulate walk terms for every fold subset of the given permutations.
 
-    Everything a term needs from its fold set is compiled once per fold set
-    into a ``FoldPlan`` (``_fold_data``), and the lengths and weight readers
-    that terms share are memoised for this call (``WalkMemo``).  Fold sets with
-    equal multisets are walked together, over every permutation, and the
-    accumulator is flushed after each such batch: it holds one pending group
-    at a time and lifts it once per content.
+    The sums are packed in ``window``, the caller's ``walk_window(chain)``,
+    so shards of one computation add as integers.  Everything a term needs
+    from its fold set is compiled once per fold set into a ``FoldPlan``
+    (``_fold_data``), and the lengths and weight readers that terms share are
+    memoised for this call (``WalkMemo``).  Fold sets with equal multisets are
+    walked together, over every permutation, and the accumulator is flushed
+    after each such batch: it holds one pending group at a time and lifts it
+    once per content.
     """
     factors = chain_denominator(chain)
-    acc = ContentAccumulator(factors)
+    acc = ContentAccumulator(window)
     positions = range(1, chain.m + 1)
     batches: dict[tuple[tuple[int, int], ...], list[int]] = {}
     for mask in range(1 << chain.m):
@@ -283,4 +323,4 @@ def ram_yip_sum(lam: Partition, n: int, jobs: int = 1,
         from .parallel import parallel_ram_yip_sum
 
         return parallel_ram_yip_sum(lam, n, jobs)
-    return walk_shard(chain, all_perms(n)).finalize()
+    return walk_shard(chain, all_perms(n), walk_window(chain)).finalize()

@@ -13,6 +13,7 @@ import importlib.util
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 from macdonald.chain import Partition, build_chain
@@ -24,6 +25,8 @@ LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 def _load_layers():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
     module = importlib.util.module_from_spec(spec)
+    # registered, as an import would, so a traced worker can pickle its Stats
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 

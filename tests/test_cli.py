@@ -315,6 +315,18 @@ def test_jobs_clamped_to_cpu_count_before_any_pool(capsys, monkeypatch):
     assert code == 0 and "with 1 worker(s)" in err
 
 
+def test_table_with_two_jobs_counts_without_a_pool(capsys, monkeypatch):
+    import macdonald.parallel
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    monkeypatch.setattr(macdonald.parallel, "get_context", no_pool)
+    code, out, _ = run_cli(capsys, ["table", "--jobs", "2"])
+    assert code == 0 and "552,960" in out
+
+
 def test_verify_input_without_check_flag_compares_expansion(capsys, tmp_path):
     _, out, _ = run_cli(
         capsys,

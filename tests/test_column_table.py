@@ -24,10 +24,14 @@ from macdonald.fillings import (
     _term_raw,
     column_table,
     count_nonattacking,
+    diagram_denominator,
     enumerate_nonattacking,
     filling_stats,
+    filling_t_range,
+    filling_window,
     shape_of,
 )
+from macdonald.qt import PackedWindow
 
 MAX_CANDIDATES = 20_000      # column-injective tuples a brute force may scan
 
@@ -102,6 +106,21 @@ def test_term_raw_rejects_attacking_tuples(shape_n, data):
     else:
         with pytest.raises(AttackViolation):
             _term_raw(shape, vals, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_shapes())
+def test_filling_terms_lie_in_the_stated_range(shape_n):
+    # the packed window of every filling sum is fixed from these bounds
+    lam, n = shape_n
+    shape = shape_of(lam.parts)
+    t_lo, t_hi = filling_t_range(shape)
+    fillings = brute_force(lam, n, "paper")
+    for vals in fillings:
+        ((a, b), c), = _term_raw(shape, vals, n)[0].items()
+        assert c == 1 and a >= 0 and t_lo <= b <= t_hi
+    assert filling_window(lam, n) == PackedWindow.bounded(
+        diagram_denominator(shape), t_lo, t_hi, len(fillings))
 
 
 def test_terms_share_one_counter_per_diff_multiset():

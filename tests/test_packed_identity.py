@@ -29,8 +29,8 @@ from macdonald.compression import (
     verify_class,
 )
 from macdonald.fillings import Filling, compressed_term, shape_of
-from macdonald.qt import rational_add, rational_zero, term_value
-from macdonald.ramyip import FoldingPair, chain_denominator
+from macdonald.qt import ContentAccumulator, rational_add, rational_zero, term_value
+from macdonald.ramyip import FoldingPair, chain_denominator, walk_window
 
 MAX_PAIRS = 3072      # folding pairs a shape may have, so each example is quick
 
@@ -111,13 +111,14 @@ def test_packed_verdict_equals_rational_equality_on_perturbed_fibers(
         if kind == "coefficient":
             num = {(a, b): c + step} if c + step else {}
         else:
-            shift = step if window.t_lo <= b + step <= window.t_hi else -step
+            packing = window.packing
+            shift = step if packing.t_lo <= b + step <= packing.t_hi else -step
             num = {(a, b + shift): c}
         return num, den, content
 
     patch = mock.patch.object(compression, "_walk_term_raw", walk)
     if kind == "t-power":
-        assume(window.t_lo < window.t_hi)   # room to shift inside the window
+        assume(window.packing.t_lo < window.packing.t_hi)   # room to shift
     if kind == "denominator":
         assume(target.folds)
         fold_list = sorted(target.folds)
@@ -140,47 +141,74 @@ def test_packed_verdict_equals_rational_equality_on_perturbed_fibers(
         assert _check_class(sigma, pairs, window).ok == want
 
 
+def _sum_mapped_fiber(window, num_map) -> None:
+    """Sum the first fiber of (3,2,1,0), each walk numerator mapped by num_map.
+
+    A ``ClassWindow`` sums it with ``class_sum``; a ``PackedWindow`` with a
+    ``ContentAccumulator`` in that window.
+    """
+    lam = Partition((3, 2, 1, 0))
+    chain = build_chain(lam)
+    values, pairs = next(iter(group_fibers(lam, 4).items()))
+    content = Filling(lam.parts, 4, values).content()
+    real = compression._walk_term_raw
+
+    def mapped(w, fold_list, chain, *args):
+        num, den, term_content = real(w, fold_list, chain, *args)
+        return num_map(num), den, term_content
+
+    with mock.patch.object(compression, "_walk_term_raw", mapped):
+        if isinstance(window, ClassWindow):
+            class_sum(pairs, chain, content, window)
+            return
+        acc = ContentAccumulator(window)
+        for pair in pairs:
+            num, den, term_content = compression._walk_term_raw(
+                pair.w, sorted(pair.folds), chain)
+            acc.add(term_content, num, den)
+        acc.flush()
+
+
+def _window_3210(site):
+    chain = build_chain(Partition((3, 2, 1, 0)))
+    if site == "accumulator":
+        return walk_window(chain), walk_window(chain)
+    window = ClassWindow(chain, 1, shape_of((3, 2, 1, 0)))
+    return window, window.packing
+
+
 def test_a_fiber_over_the_window_budget_raises():
-    lam = Partition((3, 2, 1, 0))
-    chain = build_chain(lam)
-    values, pairs = next(iter(group_fibers(lam, 4).items()))
-    window = ClassWindow(chain, 1, shape_of(lam.parts))
-    content = Filling(lam.parts, 4, values).content()
-    real = compression._walk_term_raw
-
-    def heavy(w, fold_list, chain, *args):
-        num, den, term_content = real(w, fold_list, chain, *args)
-        return {m: window.budget * c for m, c in num.items()}, den, term_content
-
-    with mock.patch.object(compression, "_walk_term_raw", heavy):
-        with pytest.raises(InternalInvariantError, match="budget"):
-            class_sum(pairs, chain, content, window)
+    window, packing = _window_3210("class")
+    with pytest.raises(InternalInvariantError, match="budget"):
+        _sum_mapped_fiber(window, lambda num: {m: packing.budget * c
+                                               for m, c in num.items()})
 
 
-@pytest.mark.parametrize("shift", ["below", "above"])
-def test_a_numerator_outside_the_window_raises(shift):
-    lam = Partition((3, 2, 1, 0))
-    chain = build_chain(lam)
-    values, pairs = next(iter(group_fibers(lam, 4).items()))
-    window = ClassWindow(chain, len(pairs), shape_of(lam.parts))
-    content = Filling(lam.parts, 4, values).content()
-    real = compression._walk_term_raw
-    b = window.t_lo - 1 if shift == "below" else window.t_hi + 1
+def test_accumulated_terms_over_the_window_budget_raise():
+    window, packing = _window_3210("accumulator")
+    with pytest.raises(InternalInvariantError, match="budget"):
+        _sum_mapped_fiber(window, lambda num: {m: packing.budget * c
+                                               for m, c in num.items()})
 
-    def outside(w, fold_list, chain, *args):
-        num, den, term_content = real(w, fold_list, chain, *args)
-        return {(a, b): c for (a, _b), c in num.items()}, den, term_content
 
-    with mock.patch.object(compression, "_walk_term_raw", outside):
-        with pytest.raises(InternalInvariantError, match="outside the packed window"):
-            class_sum(pairs, chain, content, window)
+OUTSIDE = [(site, side) for site in ("class", "accumulator")
+           for side in ("below", "above", "negative-q")]
+
+
+@pytest.mark.parametrize("site, side", OUTSIDE, ids=[
+    side if site == "class" else f"{site}-{side}" for site, side in OUTSIDE])
+def test_a_numerator_outside_the_window_raises(site, side):
+    window, packing = _window_3210(site)
+    a = -1 if side == "negative-q" else 0
+    b = {"below": packing.t_lo - 1, "above": packing.t_hi + 1}.get(side, 0)
+    with pytest.raises(InternalInvariantError, match="outside the packed window"):
+        _sum_mapped_fiber(window, lambda num: {(a, b): c for c in num.values()})
 
 
 def test_identity_lifts_the_fiber_sum_by_the_factors_its_lcm_lacks():
     lam = Partition((3, 2, 1, 0))
     window = ClassWindow(build_chain(lam), 1, shape_of(lam.parts))
-    packing = window.packing
-    one_minus_t = (1 << packing.shift(0, 0)) - (1 << packing.shift(0, 1))
+    one_minus_t, _weight = window.packing.pack({(0, 0): 1, (0, 1): -1})
     lhs = FiberSum(one_minus_t, window.intern(Counter()), window)
     assert (lhs.num, lhs.den) == ({(0, 0): 1, (0, 1): -1}, ())
     # the bare term (1 - q t^2) * (1 - t) / (1 - q t^2) is 1 - t, over a

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from macdonald.qt import (
     ContentAccumulator,
+    PackedWindow,
     PoleError,
     RationalQT,
     _mul_binomial,
@@ -217,7 +218,7 @@ def test_symfun_insertion_order_independent():
 def test_accumulator_matches_pairwise_addition():
     # bare terms q * (1-t)/(1-qt) and 1 * (1-t)^2/((1-qt^2)(1-q^2 t))
     den = [(1, 1), (1, 2), (2, 1)]
-    acc = ContentAccumulator(den)
+    acc = ContentAccumulator(PackedWindow.bounded(den, 0, 0, 2))
     from collections import Counter
 
     acc.add((1, 1), {(1, 0): 1}, Counter([(1, 1)]))
@@ -231,10 +232,11 @@ def test_accumulator_matches_pairwise_addition():
 
 
 ACC_DEN = [(1, 1), (1, 1), (1, 2), (2, 1), (0, 1), (3, 0)]
+ACC_WINDOW = PackedWindow.bounded(ACC_DEN, -2, 3, 12)
 bare_terms = st.lists(
     st.tuples(
         st.sampled_from([(2, 0), (1, 1), (0, 2)]),                  # content
-        st.tuples(st.integers(-2, 3), st.integers(-2, 3)),          # q^a t^b
+        st.tuples(st.integers(0, 5), st.integers(-2, 3)),           # q^a t^b
         st.lists(st.booleans(), min_size=len(ACC_DEN),
                  max_size=len(ACC_DEN)),                            # sub-multiset
     ),
@@ -250,7 +252,7 @@ def test_accumulator_bare_terms_split_and_merged(terms, data):
     order = data.draw(st.permutations(range(len(terms))))
     split = data.draw(st.integers(0, len(terms)))
     flush_at = data.draw(st.integers(0, len(terms)))
-    halves = (ContentAccumulator(ACC_DEN), ContentAccumulator(ACC_DEN))
+    halves = (ContentAccumulator(ACC_WINDOW), ContentAccumulator(ACC_WINDOW))
     expected = {}
     for step, idx in enumerate(order):
         content, (a, b), picks = terms[idx]
@@ -274,10 +276,20 @@ def test_accumulator_bare_terms_split_and_merged(terms, data):
 def test_accumulator_rejects_term_outside_shared_denominator():
     from collections import Counter
 
-    acc = ContentAccumulator([(1, 1)])
+    acc = ContentAccumulator(PackedWindow.bounded([(1, 1)], 0, 0, 1))
     acc.add((1, 0), {(0, 0): 1}, Counter([(1, 2)]))
     with pytest.raises(ValueError):
         acc.finalize()
+
+
+@pytest.mark.parametrize("other", [PackedWindow.bounded([(1, 1)], 0, 1, 1),
+                                   PackedWindow.bounded([(1, 1)], 0, 0, 1 << 20),
+                                   PackedWindow.bounded([(1, 2)], 0, 0, 1)])
+def test_accumulators_over_different_windows_do_not_merge(other):
+    # packed sums add digit by digit only inside one window
+    acc = ContentAccumulator(PackedWindow.bounded([(1, 1)], 0, 0, 1))
+    with pytest.raises(ValueError, match="different windows"):
+        acc.merge(ContentAccumulator(other))
 
 
 # Reference for the packed accumulator: plain dict convolution, independent
@@ -307,22 +319,29 @@ def _reference_sums(shared, terms):
     return {k: {m: c for m, c in v.items() if c} for k, v in sums.items()}
 
 
-def _packed_sums(shared, batches):
+def _covering_window(shared, terms, slack=(0, 0, 0)):
+    """The window of the terms' t range and weight, widened by slack."""
+    ts = [b for _content, num, _den in terms for _a, b in num] or [0]
+    weight = sum(abs(c) for _content, num, _den in terms for c in num.values())
+    return PackedWindow.bounded(shared, min(ts) - slack[0], max(ts) + slack[1],
+                                weight + slack[2])
+
+
+def _packed_sums(window, batches):
     """Feed each batch of (content, num, den) terms and flush after it."""
-    acc = ContentAccumulator(shared)
+    acc = ContentAccumulator(window)
     for batch in batches:
         for content, num, den in batch:
             acc.add(content, num, den)
         acc.flush()
-    sums = acc.sums
-    assert not acc._packed          # unpacking drops the packed integers
-    return sums
+    return {content: window.unpack(value) for content, value in acc.packed.items()}
 
 
 PACK_FACTORS = [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (3, 0), (0, 2)]
 CANCEL = (9, 9)                     # the content whose terms cancel exactly
 coefficients = st.one_of(st.integers(-300, 300).filter(bool),
                          st.integers(-(1 << 70), 1 << 70).filter(bool))
+slacks = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1 << 80))
 
 
 @st.composite
@@ -330,12 +349,12 @@ def packed_cases(draw):
     shared = draw(st.lists(st.sampled_from(PACK_FACTORS), max_size=5))
     batches = []
     for _ in range(draw(st.integers(1, 4))):
-        # each batch moves its exponents, so later flushes leave the window
-        dq, dt = draw(st.integers(-6, 6)), draw(st.integers(-9, 9))
+        # each batch moves its exponents, so the window spans all batches
+        dq, dt = draw(st.integers(0, 6)), draw(st.integers(-9, 9))
         batch = []
         for _ in range(draw(st.integers(0, 6))):
             content = draw(st.sampled_from([(2, 0), (1, 1), (0, 2)]))
-            mono = (draw(st.integers(-2, 2)) + dq, draw(st.integers(-2, 2)) + dt)
+            mono = (draw(st.integers(0, 4)) + dq, draw(st.integers(-2, 2)) + dt)
             picks = draw(st.lists(st.booleans(), min_size=len(shared),
                                   max_size=len(shared)))
             den = Counter(f for f, keep in zip(shared, picks) if keep)
@@ -353,15 +372,16 @@ def packed_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(packed_cases())
+@given(packed_cases(), slacks)
 @example(([(0, 1), (1, 1)], [[((2, 0), {(0, 0): 1}, Counter())],
-                            [((2, 0), {(-3, -7): -(1 << 70)}, Counter([(0, 1)]))]]))
-@example(([], [[((2, 0), {(0, 0): 200}, Counter())]]))
-def test_packed_accumulator_matches_dict_reference(case):
+                            [((2, 0), {(3, -7): -(1 << 70)}, Counter([(0, 1)]))]]),
+         (0, 0, 0))
+@example(([], [[((2, 0), {(0, 0): 200}, Counter())]]), (0, 0, 0))
+def test_packed_accumulator_matches_dict_reference(case, slack):
     shared, batches = case
     terms = [term for batch in batches for term in batch]
     want = _reference_sums(shared, terms)
-    got = _packed_sums(shared, batches)
+    got = _packed_sums(_covering_window(shared, terms, slack), batches)
     assert got == want
     if any(content == CANCEL for content, _, _ in terms):
         assert got[CANCEL] == {}
@@ -370,24 +390,15 @@ def test_packed_accumulator_matches_dict_reference(case):
 @pytest.mark.parametrize("bits", [8, 16, 32, 64, 128])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_packed_digit_boundaries(bits, sign):
-    # with no lift factors the bound is the coefficient itself, so these sit
-    # exactly on either side of a digit width
+    # with no lift factors a window of weight c has the narrowest digits that
+    # hold c, so these coefficients sit on either side of a digit width:
+    # alone in one digit, or split over two neighbouring digits
     for c in ((1 << (bits - 1)) - 1, 1 << (bits - 1), (1 << bits) - 1):
-        terms = [((1, 0), {(0, 0): sign * c, (1, 2): -sign * c}, Counter()),
-                 ((1, 0), {(0, 1): sign * c}, Counter())]
-        assert _packed_sums([], [terms]) == _reference_sums([], terms)
-
-
-def test_packed_repack_keeps_earlier_sums():
-    shared = [(0, 1), (1, 1), (2, 1)]
-    batches = [
-        [((1, 1), {(0, 0): 1}, Counter([(1, 1)]))],
-        [((1, 1), {(4, 9): 3}, Counter([(0, 1), (2, 1)])),
-         ((0, 2), {(0, 0): 5}, Counter())],
-        [((1, 1), {(-5, -12): 1 << 70}, Counter([(1, 1), (2, 1)]))],
-    ]
-    terms = [term for batch in batches for term in batch]
-    assert _packed_sums(shared, batches) == _reference_sums(shared, terms)
+        for terms in ([((1, 0), {(0, 0): sign * c}, Counter())],
+                      [((1, 0), {(0, 1): sign * (c - 1), (1, 0): -sign}, Counter())]):
+            window = _covering_window([], terms)
+            assert (window.bits == bits) == (c < 1 << (bits - 1))
+            assert _packed_sums(window, [terms]) == _reference_sums([], terms)
 
 
 def test_canonical_strings():
@@ -405,7 +416,7 @@ def test_accumulator_reuses_a_shared_den_across_flushes():
     from collections import Counter
 
     den = Counter([(1, 1)])
-    acc = ContentAccumulator([(1, 1)])
+    acc = ContentAccumulator(PackedWindow.bounded([(1, 1)], 0, 0, 3))
     acc.add((1, 0), {(0, 0): 1}, den)
     acc.flush()
     acc.add((1, 0), {(1, 0): 1}, den)

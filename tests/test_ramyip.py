@@ -19,7 +19,9 @@ from macdonald.ramyip import (
     folded_weight,
     ram_yip_sum,
     walk_shard,
+    walk_t_range,
     walk_term,
+    walk_window,
 )
 from macdonald.weyl import all_perms, identity_perm, perm_length, permute_weight
 
@@ -184,10 +186,11 @@ def test_enumeration_is_complete():
 def test_walk_shard_split_and_merged_equals_unsplit():
     chain = build_chain(Partition((3, 1, 0)))
     perms = all_perms(3)
-    whole = walk_shard(chain, perms)
-    split = walk_shard(chain, perms[:2])
-    split.merge(walk_shard(chain, perms[2:]))
-    assert split.sums == whole.sums
+    window = walk_window(chain)
+    whole = walk_shard(chain, perms, window)
+    split = walk_shard(chain, perms[:2], window)
+    split.merge(walk_shard(chain, perms[2:], window))
+    assert split.packed == whole.packed
     assert split.finalize() == whole.finalize()
 
 
@@ -229,3 +232,19 @@ def test_walk_term_with_and_without_a_plan_matches_the_definition(lam, data):
             assert _walk_term_raw(w, fold_list, chain, None, plan, memo) == want
             assert _walk_term_raw(w, fold_list, chain, perm_length(w), plan,
                                   memo) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_walk_shapes()), st.data())
+def test_walk_terms_lie_in_the_stated_range(lam, data):
+    # the packed window of every walk sum is fixed from these bounds
+    chain = build_chain(lam)
+    t_lo, t_hi = walk_t_range(chain)
+    fold_sets = data.draw(st.lists(
+        st.sets(st.integers(1, chain.m)) if chain.m else st.just(set()),
+        min_size=1, max_size=4))
+    for folds in fold_sets:
+        for w in all_perms(lam.n):
+            num, _den, _content = _walk_term_raw(w, sorted(folds), chain)
+            ((a, b), c), = num.items()
+            assert c == 1 and a >= 0 and t_lo <= b <= t_hi
