@@ -18,14 +18,10 @@ from .chain import (
     render_chain,
 )
 from .compression import (
-    ColumnFactored,
-    column_factored,
-    fiber,
     fiber_witness,
     filling_map,
     group_fibers,
     verify_all_classes,
-    verify_class,
 )
 from .fillings import (
     AttackViolation,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -37,6 +36,7 @@ from .qt import (
 from .ramyip import (
     TermCapExceeded,
     check_term_cap,
+    folding_pair_count,
     folding_pairs_text,
     ram_yip_sum,
     term_cap,
@@ -68,8 +68,21 @@ def _parse_partition(raw: str, n: int | None) -> Partition:
     return Partition(parts, n)
 
 
-def _parse_fraction(raw: str) -> Fraction:
-    return Fraction(raw)
+def _parse_fraction(flag: str, raw: str) -> Fraction:
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} must be a rational number a/b with b != 0, "
+                         f"got {raw!r}") from None
+
+
+def _oracle_points(args) -> list[tuple[Fraction, Fraction]] | None:
+    """The explicit oracle point (--q, --t), or None to draw seeded points."""
+    if args.q is None and args.t is None:
+        return None
+    if args.q is None or args.t is None:
+        raise NonRegularError("--q and --t must be given together")
+    return [(_parse_fraction("--q", args.q), _parse_fraction("--t", args.t))]
 
 
 def _format_1dp_half_up(value: Fraction) -> str:
@@ -176,6 +189,7 @@ def _load_symfun_json(stream) -> tuple[Partition, int, SymFun]:
 
 
 def cmd_verify(args) -> int:
+    points = _oracle_points(args) if args.oracle else None
     P: SymFun | None = None
     if args.infile:
         if args.infile == "-":
@@ -208,8 +222,7 @@ def cmd_verify(args) -> int:
         add("per-class", class_report.ok, detail)
         add(
             "fibers-partition",
-            class_report.total_pairs
-            == (1 << build_chain(lam).m) * math.factorial(n)
+            class_report.total_pairs == folding_pair_count(build_chain(lam))
             and not class_report.missing_fillings,
             f"{class_report.total_pairs} pairs over "
             f"{len(class_report.classes)} fibers",
@@ -221,11 +234,6 @@ def cmd_verify(args) -> int:
         ]
     if args.oracle:
         P_here = P if P is not None else _compute(lam, n, args.formula, args.jobs)
-        points = None
-        if args.q is not None or args.t is not None:
-            if args.q is None or args.t is None:
-                raise NonRegularError("--q and --t must be given together")
-            points = [(_parse_fraction(args.q), _parse_fraction(args.t))]
         result = check_specializations(P_here, lam, n, seed=args.seed,
                                        points=points)
         for entry in result.checks:
@@ -283,7 +291,7 @@ def _map_pairs(chain, n: int):
 
     m = chain.m
     perms = all_perms(n)
-    if (1 << m) * math.factorial(n) <= MAP_EXHAUSTIVE_PAIRS:
+    if folding_pair_count(chain) <= MAP_EXHAUSTIVE_PAIRS:
         for w in perms:
             for mask in range(1 << m):
                 yield w, [p for p in range(1, m + 1) if mask >> (p - 1) & 1]
@@ -346,11 +354,24 @@ def _map_property_checks(lam: Partition, n: int):
     yield ("surjectivity-witness", True, f"{count} fillings")
 
 
+def _table_rows(raw: str | None) -> list[tuple[tuple[int, ...], int]]:
+    """The table shapes to print: all of them, or the 1-based rows listed in raw."""
+    if not raw:
+        return TABLE_SHAPES
+    try:
+        wanted = {int(x) for x in raw.split(",")}
+    except ValueError:
+        raise ValueError(
+            f"--rows must be comma-separated row numbers, got {raw!r}") from None
+    unknown = sorted(wanted - set(range(1, len(TABLE_SHAPES) + 1)))
+    if unknown:
+        raise ValueError(
+            f"--rows: there is no row {unknown[0]}; rows are 1 to {len(TABLE_SHAPES)}")
+    return [r for i, r in enumerate(TABLE_SHAPES, start=1) if i in wanted]
+
+
 def cmd_table(args) -> int:
-    rows = TABLE_SHAPES
-    if args.rows:
-        wanted = {int(x) for x in args.rows.split(",")}
-        rows = [r for i, r in enumerate(rows, start=1) if i in wanted]
+    rows = _table_rows(args.rows)
     widths = (16, 3, 11, 11, 11)
     header = ("lambda", "n", "t(lambda)", "c(lambda)", "r(lambda)")
     print("".join(h.ljust(w) if i == 0 else h.rjust(w)
@@ -362,7 +383,7 @@ def cmd_table(args) -> int:
         chain = build_chain(lam)
         t_count = parallel_count(lam, n, "paper")
         hhl_count = parallel_count(lam, n, "hhl")
-        ry_terms = (1 << chain.m) * math.factorial(n)
+        ry_terms = folding_pair_count(chain)
         c_factor = _format_1dp_half_up(Fraction(ry_terms, t_count))
         r_factor = _format_1dp_half_up(Fraction(hhl_count, t_count))
         cells = (
@@ -398,7 +419,7 @@ def cmd_bench(args) -> int:
     except TermCapExceeded:
         print("ram-yip: skipped (term cap)")
         return EXIT_OK
-    pairs = (1 << chain.m) * math.factorial(n)
+    pairs = folding_pair_count(chain)
     if pairs <= BENCH_RAM_YIP_PAIRS:
         timed("ram-yip", lambda: ram_yip_sum(lam, n, jobs=args.jobs))
     else:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .chain import (
-    ChainEntry,
     InternalInvariantError,
     LambdaChain,
     Partition,
@@ -38,9 +37,7 @@ from .chain import (
     cached_chain,
 )
 from .fillings import (
-    AttackViolation,
     Filling,
-    Shape,
     _term_raw,
     check_filling_cap,
     compressed_term,
@@ -76,43 +73,6 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
-class ColumnFactored:
-    """A fold set presented as per-column subsequences of the chain."""
-
-    factors: tuple[tuple[int, tuple[ChainEntry, ...]], ...]
-
-    def positions(self, chain: LambdaChain) -> list[int]:
-        out = []
-        for column, entries in self.factors:
-            segment = chain.column_positions[column]
-            start = 0
-            for entry in entries:
-                found = None
-                for p in segment[start:]:
-                    if chain.entries[p] == entry:
-                        found = p
-                        break
-                if found is None:
-                    raise ValueError(
-                        f"{entry} is not a forward match in column {column}"
-                    )
-                start = segment.index(found) + 1
-                out.append(found + 1)
-        return out
-
-
-def column_factored(folds, chain: LambdaChain) -> ColumnFactored:
-    """Group fold positions by chain column, preserving chain order."""
-    by_col: dict[int, list[ChainEntry]] = {col: [] for col, _, _ in chain.segments}
-    for p in sorted(folds):
-        entry = chain.entries[p - 1]
-        by_col[entry.column].append(entry)
-    return ColumnFactored(
-        tuple((col, tuple(by_col[col])) for col, _, _ in chain.segments)
-    )
-
-
 def _filling_values(w: Perm, fold_list: list[int], chain: LambdaChain,
                     shape) -> tuple[int, ...]:
     """Reading-order values of the image filling of (w, folds).
@@ -135,16 +95,11 @@ def _filling_values(w: Perm, fold_list: list[int], chain: LambdaChain,
     return tuple(itertools.chain.from_iterable(reversed(columns)))
 
 
-def filling_map(w: Perm, T: ColumnFactored | list[int] | frozenset[int],
-                lam: Partition) -> Filling:
-    """Image of a folding pair under the filling map."""
+def filling_map(w: Perm, folds, lam: Partition) -> Filling:
+    """Image of the folding pair (w, folds) under the filling map."""
     chain = cached_chain(lam.parts)
-    if isinstance(T, ColumnFactored):
-        fold_list = sorted(T.positions(chain))
-    else:
-        fold_list = sorted(T)
     shape = shape_of(lam.parts)
-    return Filling(lam.parts, lam.n, _filling_values(w, fold_list, chain, shape))
+    return Filling(lam.parts, lam.n, _filling_values(w, sorted(folds), chain, shape))
 
 
 def fiber_witness(sigma: Filling, lam: Partition) -> FoldingPair:
@@ -263,20 +218,20 @@ class ClassWindow:
 
     One ``qt.PackedWindow`` holds both sides of every class identity, so
     each side is one integer.  Its numerators are the walk terms
-    (``ramyip.walk_t_range``) and, given a ``shape``, the filling terms
-    (``fillings.filling_t_range``), and its weight is ``max_fiber``, the
-    most walk terms a fiber holds.  Both sides of a class are lifted to
-    ``lcm | den_r``, with ``lcm`` the lcm of the fiber's walk denominators
-    and ``den_r`` the filling's: a walk term over ``den`` by ``(1-t)^|den|``,
-    the binomials of ``lcm - den`` and then those of ``den_r - lcm``, the
-    filling's numerator by ``(1-t)^|den_r|`` and the binomials of
-    ``lcm - den_r``.  Either way that is one factor per element of
+    (``ramyip.walk_t_range``) and the filling terms
+    (``fillings.filling_t_range``) of the chain's partition, and its weight
+    is ``max_fiber``, the most walk terms a fiber holds.  Both sides of a
+    class are lifted to ``lcm | den_r``, with ``lcm`` the lcm of the fiber's
+    walk denominators and ``den_r`` the filling's: a walk term over ``den``
+    by ``(1-t)^|den|``, the binomials of ``lcm - den`` and then those of
+    ``den_r - lcm``, the filling's numerator by ``(1-t)^|den_r|`` and the
+    binomials of ``lcm - den_r``.  Either way that is one factor per element of
     ``lcm | den_r``, a sub-multiset of the chain and diagram denominators
     together, which the window takes as its factors.
 
     A numerator outside the window, or a fiber over its budget, raises
     ``InternalInvariantError``: no packed comparison ever reads a wrapped
-    digit.  Without a ``shape`` the window holds fiber sums only.
+    digit.
 
     The memos live as long as the window: each fold set's fold plan
     (``ramyip._fold_data``) and multiset id, the walk terms' lengths and
@@ -286,16 +241,12 @@ class ClassWindow:
     its sorted factors).
     """
 
-    def __init__(self, chain: LambdaChain, max_fiber: int,
-                 shape: Shape | None = None):
+    def __init__(self, chain: LambdaChain, max_fiber: int):
         self.chain = chain
-        t_lo, t_hi = walk_t_range(chain)
-        if shape is None:
-            self.diagram: Counter = Counter()
-        else:
-            self.diagram = Counter(diagram_denominator(shape))
-            f_lo, f_hi = filling_t_range(shape)
-            t_lo, t_hi = min(t_lo, f_lo), max(t_hi, f_hi)
+        shape = shape_of(chain.partition.parts)
+        self.diagram = Counter(diagram_denominator(shape))
+        (w_lo, w_hi), (f_lo, f_hi) = walk_t_range(chain), filling_t_range(shape)
+        t_lo, t_hi = min(w_lo, f_lo), max(w_hi, f_hi)
         self.packing = PackedWindow.bounded(
             [*chain_denominator(chain), *self.diagram.elements()], t_lo, t_hi,
             max_fiber)
@@ -444,11 +395,6 @@ def group_fibers(lam: Partition, n: int
     return out
 
 
-def fiber(sigma: Filling, lam: Partition, n: int) -> set[FoldingPair]:
-    """All folding pairs mapping to sigma, by brute-force grouping."""
-    return set(group_fibers(lam, n).get(sigma.values, []))
-
-
 def class_sum(pairs: list[FoldingPair], chain: LambdaChain,
               expected_content: tuple[int, ...],
               window: ClassWindow | None = None,
@@ -506,15 +452,6 @@ def _check_class(sigma: Filling, pairs: list[FoldingPair],
     return ClassResult(pairs, ok, contents_ok, sigma, None if ok else lhs.value)
 
 
-def verify_class(sigma: Filling, lam: Partition, n: int) -> bool:
-    """Check one fiber: coefficients sum to the filling's term, contents match."""
-    if not sigma.is_nonattacking():
-        raise AttackViolation("filling has an attacking pair with equal values")
-    pairs = sorted(fiber(sigma, lam, n), key=lambda p: (p.w, sorted(p.folds)))
-    window = ClassWindow(build_chain(lam), len(pairs), sigma.shape)
-    return bool(pairs) and _check_class(sigma, pairs, window).ok
-
-
 def verify_all_classes(lam: Partition, n: int) -> ClassReport:
     """Run the per-class check over every nonattacking filling.
 
@@ -525,8 +462,7 @@ def verify_all_classes(lam: Partition, n: int) -> ClassReport:
     chain = build_chain(lam)
     fibers = group_fibers(lam, n)
     total_pairs = sum(len(v) for v in fibers.values())
-    window = ClassWindow(chain, max(map(len, fibers.values()), default=0),
-                         shape_of(lam.parts))
+    window = ClassWindow(chain, max(map(len, fibers.values()), default=0))
     classes: dict[tuple[int, ...], ClassResult] = {}
     missing: list[tuple[int, ...]] = []
     first_failure: str | None = None

@@ -485,10 +485,9 @@ def count_nonattacking(lam: Partition, n: int, convention: str = "paper") -> int
     return _count_values(table, table.column_tuples(0, ()))
 
 
-def column_prefixes(lam: Partition, n: int,
-                    convention: str = "paper") -> list[tuple[int, ...]]:
+def column_prefixes(lam: Partition, n: int) -> list[tuple[int, ...]]:
     """Admissible assignments of the first column, used as work shards."""
-    return list(column_table(lam.parts, n, convention).column_tuples(0, ()))
+    return list(column_table(lam.parts, n, "paper").column_tuples(0, ()))
 
 
 def _term_raw(shape: Shape, vals: tuple[int, ...], n: int):
@@ -602,13 +601,13 @@ def compressed_shard(lam: Partition, n: int, prefixes: list[tuple[int, ...]],
 
 
 def compressed_sum(lam: Partition, n: int, jobs: int = 1) -> SymFun:
-    """Macdonald P_lambda via the nonattacking-filling formula."""
+    """Macdonald P_lambda via the nonattacking-filling formula.
+
+    The first columns are split into up to ``jobs`` shards; one shard runs in
+    the calling process (see ``parallel``).
+    """
     if n != lam.n:
         raise ValueError(f"n={n} does not match partition {lam.parts}")
-    check_filling_cap(lam, n)
-    if jobs > 1:
-        from .parallel import parallel_compressed_sum
+    from .parallel import parallel_compressed_sum
 
-        return parallel_compressed_sum(lam, n, jobs)
-    return compressed_shard(lam, n, column_prefixes(lam, n),
-                            filling_window(lam, n)).finalize()
+    return parallel_compressed_sum(lam, n, jobs)

@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .chain import Partition
 from .qt import PoleError, SymFun, rational_eval_at, rational_one
@@ -164,10 +165,7 @@ def _z(rho: PartitionTuple) -> int:
     for r in rho:
         mult[r] = mult.get(r, 0) + 1
     for r, m in mult.items():
-        fact = 1
-        for x in range(2, m + 1):
-            fact *= x
-        out *= r**m * fact
+        out *= r**m * factorial(m)
     return out
 
 
@@ -296,8 +294,6 @@ def _draw_fraction(rng: random.Random) -> Fraction:
 
 
 def _symmetry_failures(P: SymFun, n: int) -> list[str]:
-    from math import factorial
-
     groups: dict[PartitionTuple, list] = {}
     for content, coef in P.items():
         groups.setdefault(tuple(sorted(content, reverse=True)), []).append(

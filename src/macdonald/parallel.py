@@ -1,14 +1,15 @@
-"""Deterministic multiprocess sharding for the exponential enumerations.
+"""Deterministic sharding of the exponential enumerations.
 
 Both sums follow one pattern: split the work into shards by a fixed rule
 (permutations for the walk formula, first-column assignments for fillings),
-evaluate shards in worker processes, and merge the partial results in shard
-order.  The parent fixes the packed window of the whole computation and
-ships it with every task, so each shard returns one packed integer per
-content and the merge adds integers: the merged result is bit-identical to
-the serial one regardless of scheduling or worker count.  Counting is a
-transfer-matrix push that takes milliseconds, so it runs in the calling
-process as one shard.
+evaluate the shards, and merge the partial results in shard order.  A serial
+sum is simply one shard, evaluated in the calling process; more shards run
+in a process pool, one worker per shard.  The parent fixes the packed window
+of the whole computation and ships it with every task, so each shard returns
+one packed integer per content and the merge adds integers: the merged
+result is bit-identical whatever the scheduling or the worker count.
+Counting is a transfer-matrix push that takes milliseconds, so it always
+runs in the calling process as one shard.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ from multiprocessing import get_context
 
 from .chain import Partition, build_chain
 from .fillings import (
-    _count_values,
-    check_filling_cap,
     column_prefixes,
-    column_table,
     compressed_shard,
+    count_nonattacking,
     filling_window,
 )
-from .qt import Content, ContentAccumulator, SymFun
+from .qt import Content, ContentAccumulator, PackedWindow, SymFun
 from .ramyip import check_term_cap, walk_shard, walk_window
 from .weyl import all_perms
 
@@ -55,13 +54,26 @@ def _chunks(items: list, k: int) -> list[list]:
 def _merge_into(acc: ContentAccumulator, shard_sums) -> None:
     """Add each shard's packed sums to acc as it arrives, in shard order.
 
-    A shard's dict is dropped before the next one is awaited, so the parent
-    holds the merged sums and at most two shards' (one arriving).
+    Each sum leaves its shard's dict as it is added, so the parent holds the
+    merged sums and at most one shard's that are not yet merged.
     """
     for sums in shard_sums:
-        for content, value in sums.items():
-            acc.add_lifted(content, value)
-        sums = value = None
+        while sums:
+            acc.add_lifted(*sums.popitem())
+
+
+def _sum_shards(window: PackedWindow, worker, tasks: list) -> SymFun:
+    """Map worker over the shards' tasks, merge their sums in order, finalize.
+
+    One shard runs in the calling process; more run in a pool.
+    """
+    acc = ContentAccumulator(window)
+    if len(tasks) <= 1:
+        _merge_into(acc, map(worker, tasks))
+    else:
+        with get_context().Pool(len(tasks)) as pool:
+            _merge_into(acc, pool.imap(worker, tasks))
+    return acc.finalize()
 
 
 def _ry_worker(args) -> dict[Content, int]:
@@ -69,16 +81,14 @@ def _ry_worker(args) -> dict[Content, int]:
     return walk_shard(build_chain(Partition(parts)), perms, window).packed
 
 
-def parallel_ram_yip_sum(lam: Partition, n: int, jobs: int) -> SymFun:
+def parallel_ram_yip_sum(lam: Partition, n: int, jobs: int,
+                         cap: int | None = None) -> SymFun:
+    """The walk sum over the permutations, split into up to jobs shards."""
     chain = build_chain(lam)
-    check_term_cap(chain)
+    check_term_cap(chain, cap)
     window = walk_window(chain)
-    shards = _chunks(all_perms(n), jobs)
-    acc = ContentAccumulator(window)
-    with get_context().Pool(len(shards)) as pool:
-        _merge_into(acc, pool.imap(_ry_worker,
-                                   [(lam.parts, s, window) for s in shards]))
-    return acc.finalize()
+    return _sum_shards(window, _ry_worker, [(lam.parts, s, window)
+                                            for s in _chunks(all_perms(n), jobs)])
 
 
 def _fill_worker(args) -> dict[Content, int]:
@@ -87,22 +97,25 @@ def _fill_worker(args) -> dict[Content, int]:
 
 
 def parallel_compressed_sum(lam: Partition, n: int, jobs: int) -> SymFun:
+    """The filling sum over the first columns, split into up to jobs shards.
+
+    ``filling_window`` counts the fillings, so it checks the filling cap.
+    """
     window = filling_window(lam, n)
-    shards = _chunks(column_prefixes(lam, n), jobs)
-    acc = ContentAccumulator(window)
-    with get_context().Pool(len(shards)) as pool:
-        _merge_into(acc, pool.imap(_fill_worker,
-                                   [(lam.parts, n, s, window) for s in shards]))
-    return acc.finalize()
+    return _sum_shards(window, _fill_worker,
+                       [(lam.parts, n, s, window)
+                        for s in _chunks(column_prefixes(lam, n), jobs)])
 
 
 def _count_worker(args) -> int:
-    parts, n, convention, prefixes = args
-    return _count_values(column_table(parts, n, convention), prefixes)
+    parts, n, convention = args
+    return count_nonattacking(Partition(parts), n, convention)
 
 
 def parallel_count(lam: Partition, n: int, convention: str) -> int:
-    """The number of nonattacking fillings, counted here as one shard."""
-    check_filling_cap(lam, n)
-    return _count_worker((lam.parts, n, convention,
-                          column_prefixes(lam, n, convention)))
+    """The number of nonattacking fillings, counted here as one shard.
+
+    ``count_nonattacking`` does the work; this entry point and its worker
+    remain as the names the benchmark's tracer times counting by.
+    """
+    return _count_worker((lam.parts, n, convention))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .chain import InternalInvariantError, LambdaChain, Partition, build_chain
+from .chain import InternalInvariantError, LambdaChain, Partition
 from .qt import (
     Content,
     ContentAccumulator,
@@ -40,7 +40,6 @@ from .weyl import (
     Perm,
     Weight,
     affine_reflect,
-    all_perms,
     is_bruhat_descent,
     perm_length,
     right_mul_transposition,
@@ -314,13 +313,13 @@ def walk_shard(chain: LambdaChain, perms: list[Perm],
 
 def ram_yip_sum(lam: Partition, n: int, jobs: int = 1,
                 cap: int | None = None) -> SymFun:
-    """Macdonald P_lambda via the alcove-walk formula over all folding pairs."""
+    """Macdonald P_lambda via the alcove-walk formula over all folding pairs.
+
+    The permutations are split into up to ``jobs`` shards; one shard runs in
+    the calling process (see ``parallel``).
+    """
     if n != lam.n:
         raise ValueError(f"n={n} does not match partition {lam.parts}")
-    chain = build_chain(lam)
-    check_term_cap(chain, cap)
-    if jobs > 1:
-        from .parallel import parallel_ram_yip_sum
+    from .parallel import parallel_ram_yip_sum
 
-        return parallel_ram_yip_sum(lam, n, jobs)
-    return walk_shard(chain, all_perms(n), walk_window(chain)).finalize()
+    return parallel_ram_yip_sum(lam, n, jobs, cap)

@@ -327,6 +327,59 @@ def test_table_with_two_jobs_counts_without_a_pool(capsys, monkeypatch):
     assert code == 0 and "552,960" in out
 
 
+@pytest.mark.parametrize("formula, worker", [("ram-yip", "_ry_worker"),
+                                             ("compressed", "_fill_worker")])
+def test_one_job_runs_one_shard_in_process(capsys, monkeypatch, formula, worker):
+    import os
+
+    import macdonald.parallel
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    real = getattr(macdonald.parallel, worker)
+    calls = []
+
+    def counted(args):
+        calls.append(os.getpid())
+        return real(args)
+
+    argv = ["compute", "--lambda", "3,2,1,0", "--formula", formula, "--out", "json"]
+    _, two_jobs, _ = run_cli(capsys, argv + ["--jobs", "2"])
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    monkeypatch.setattr(macdonald.parallel, "get_context", no_pool)
+    monkeypatch.setattr(macdonald.parallel, worker, counted)
+    code, one_job, _ = run_cli(capsys, argv + ["--jobs", "1"])
+    assert code == 0 and calls == [os.getpid()]
+    assert one_job == two_jobs
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--oracle", "--lambda", "2,1,0", "--q", "1/0", "--t", "1/2"],
+    ["verify", "--oracle", "--lambda", "2,1,0", "--q", "1/2", "--t", "x"],
+    ["verify", "--per-class", "--oracle", "--lambda", "3,2,1,0", "--q", "1/2"],
+    ["verify", "--per-class", "--oracle", "--lambda", "3,2,1,0", "--t", "1/2"],
+])
+def test_verify_bad_oracle_point_exits_2_before_any_work(capsys, monkeypatch, argv):
+    import macdonald.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the point was checked")
+
+    monkeypatch.setattr(cli, "verify_all_classes", no_work)
+    monkeypatch.setattr(cli, "_compute", no_work)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rows", ["9", "1,5", "0", "x"])
+def test_table_unknown_rows_exit_2(capsys, rows):
+    code, out, err = run_cli(capsys, ["table", "--rows", rows])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --rows") and err.count("\n") == 1
+
+
 def test_verify_input_without_check_flag_compares_expansion(capsys, tmp_path):
     _, out, _ = run_cli(
         capsys,

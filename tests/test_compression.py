@@ -6,19 +6,12 @@ from macdonald.chain import Partition, build_chain
 import macdonald.compression as compression
 from macdonald.compression import (
     class_sum,
-    column_factored,
-    fiber,
     fiber_witness,
     filling_map,
     group_fibers,
     verify_all_classes,
-    verify_class,
 )
-from macdonald.fillings import (
-    Filling,
-    enumerate_nonattacking,
-    shape_of,
-)
+from macdonald.fillings import Filling, enumerate_nonattacking
 from macdonald.qt import RationalQT, rational_reduce, rational_str
 from macdonald.ramyip import FoldingPair, folded_weight
 from macdonald.weyl import all_perms, permute_weight
@@ -29,24 +22,6 @@ def test_filling_map_worked_example():
     sigma = filling_map((2, 3, 4, 1), [1, 4, 6, 7], lam)
     assert sigma.render() == "2 1 3 3\n3 4 2\n1"
     assert sigma[(1, 4)] == 2 and sigma[(2, 2)] == 4 and sigma[(3, 1)] == 1
-
-
-def test_filling_map_accepts_column_factored_form():
-    lam = Partition((4, 3, 1, 0))
-    chain = build_chain(lam)
-    T = column_factored([1, 4, 6, 7], chain)
-    assert [
-        (col, tuple(e.root for e in entries)) for col, entries in T.factors
-    ] == [(4, ((1, 4),)), (3, ((2, 3), (1, 3))), (2, ((2, 4),))]
-    assert filling_map((2, 3, 4, 1), T, lam).render() == "2 1 3 3\n3 4 2\n1"
-
-
-def test_column_factored_round_trips_positions():
-    lam = Partition((4, 3, 1, 0))
-    chain = build_chain(lam)
-    for folds in [[1, 4, 6, 7], [], [2, 3, 5, 8], list(range(1, 9))]:
-        T = column_factored(folds, chain)
-        assert sorted(T.positions(chain)) == sorted(folds)
 
 
 def test_filling_map_empty_folds():
@@ -136,23 +111,22 @@ def test_fiber_contains_unfolded_and_witness():
     lam = Partition((2, 1, 0))
     w = (3, 1, 2)
     sigma = filling_map(w, [], lam)
-    fb = fiber(sigma, lam, 3)
+    fb = group_fibers(lam, 3)[sigma.values]
     assert FoldingPair(w, frozenset()) in fb
     assert fiber_witness(sigma, lam) in fb
 
 
 def test_verify_class_p20_by_hand():
     lam = Partition((2, 0))
-    shape = shape_of(lam.parts)
+    fibers = group_fibers(lam, 2)
+    report = verify_all_classes(lam, 2)
     # sigma = (1,2): sigma(1,1)=1, sigma(1,2)=2 -> fiber {(21,{1})}
-    sigma = Filling(lam.parts, 2, (1, 2))
-    fb = fiber(sigma, lam, 2)
-    assert fb == {FoldingPair((2, 1), frozenset({1}))}
-    assert verify_class(sigma, lam, 2)
+    assert fibers[(1, 2)] == [FoldingPair((2, 1), frozenset({1}))]
+    assert report.classes[(1, 2)].ok
     # sigma = (1,1): fiber {(12, {})}, class sum 1
-    sigma2 = Filling(lam.parts, 2, (1, 1))
-    assert fiber(sigma2, lam, 2) == {FoldingPair((1, 2), frozenset())}
-    assert verify_class(sigma2, lam, 2)
+    assert fibers[(1, 1)] == [FoldingPair((1, 2), frozenset())]
+    assert report.classes[(1, 1)].ok
+    assert report.classes[(1, 1)].lhs == RationalQT({(0, 0): 1}, [])
 
 
 def test_verify_all_classes_small():
@@ -237,7 +211,9 @@ def test_passing_classes_build_no_rational_values():
 def test_verify_class_decides_on_the_packed_identity(monkeypatch):
     lam = Partition((3, 2, 1, 0))
     sigma = next(enumerate_nonattacking(lam, 4))
-    assert verify_class(sigma, lam, 4)
+    assert verify_all_classes(lam, 4).classes[sigma.values].ok
     monkeypatch.setattr(compression.ClassWindow, "identity_holds",
                         lambda self, lhs, num_r, den_r: False)
-    assert not verify_class(sigma, lam, 4)
+    report = verify_all_classes(lam, 4)
+    assert not report.ok and not report.classes[sigma.values].ok
+    assert report.classes[sigma.values].contents_ok

@@ -1,10 +1,10 @@
 """The packed class identity against RationalQT equality on random small shapes.
 
-``verify_class`` and ``verify_all_classes`` decide each class identity as one
-integer equality in a ``ClassWindow``.  Here that verdict is checked against
-a reference that sums the fiber's walk terms as reduced ``RationalQT``
-values and compares the sum with the filling's term: on the true fibers, and
-on fibers with one walk term perturbed (a coefficient off by one, a t power
+``verify_all_classes`` decides each class identity as one integer equality
+in a ``ClassWindow``.  Here that verdict is checked against a reference that
+sums the fiber's walk terms as reduced ``RationalQT`` values and compares the
+sum with the filling's term: on the true fibers, and on fibers with one walk
+term perturbed (a coefficient off by one, a t power
 shifted by one, or a denominator factor swapped for another chain factor).
 """
 
@@ -26,9 +26,8 @@ from macdonald.compression import (
     class_sum,
     group_fibers,
     verify_all_classes,
-    verify_class,
 )
-from macdonald.fillings import Filling, compressed_term, shape_of
+from macdonald.fillings import Filling, compressed_term
 from macdonald.qt import ContentAccumulator, rational_add, rational_zero, term_value
 from macdonald.ramyip import FoldingPair, chain_denominator, walk_window
 
@@ -81,7 +80,6 @@ def test_packed_verdict_equals_rational_equality_on_true_fibers(lam, data):
     values = data.draw(st.sampled_from(sorted(fibers)))
     sigma = Filling(lam.parts, lam.n, values)
     assert reference_verdict(sigma, fibers[values], build_chain(lam))
-    assert verify_class(sigma, lam, lam.n)
     report = verify_all_classes(lam, lam.n)
     assert report.ok and report.classes[values].ok
     assert report.classes[values].lhs == report.classes[values].rhs
@@ -100,7 +98,7 @@ def test_packed_verdict_equals_rational_equality_on_perturbed_fibers(
     pairs = fibers[values]
     target = data.draw(st.sampled_from(pairs))
     # room for one coefficient of 2 in the fiber
-    window = ClassWindow(chain, len(pairs) + 1, shape_of(lam.parts))
+    window = ClassWindow(chain, len(pairs) + 1)
     real_walk, real_fold_data = compression._walk_term_raw, compression._fold_data
 
     def walk(w, fold_list, chain, *args):
@@ -173,7 +171,7 @@ def _window_3210(site):
     chain = build_chain(Partition((3, 2, 1, 0)))
     if site == "accumulator":
         return walk_window(chain), walk_window(chain)
-    window = ClassWindow(chain, 1, shape_of((3, 2, 1, 0)))
+    window = ClassWindow(chain, 1)
     return window, window.packing
 
 
@@ -207,7 +205,7 @@ def test_a_numerator_outside_the_window_raises(site, side):
 
 def test_identity_lifts_the_fiber_sum_by_the_factors_its_lcm_lacks():
     lam = Partition((3, 2, 1, 0))
-    window = ClassWindow(build_chain(lam), 1, shape_of(lam.parts))
+    window = ClassWindow(build_chain(lam), 1)
     one_minus_t, _weight = window.packing.pack({(0, 0): 1, (0, 1): -1})
     lhs = FiberSum(one_minus_t, window.intern(Counter()), window)
     assert (lhs.num, lhs.den) == ({(0, 0): 1, (0, 1): -1}, ())
