@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -28,9 +29,9 @@ from .parallel import parallel_count, resolve_jobs
 from .qt import (
     RationalQT,
     SymFun,
+    monomial_json_obj,
     rational_str,
     rational_zero,
-    symfun_json_obj,
     symfun_str,
 )
 from .ramyip import (
@@ -54,10 +55,14 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
 
+JSON_SEPARATORS = (",", ":")
+
 BENCH_RAM_YIP_PAIRS = 1 << 16     # bench times ram-yip only up to this many pairs
 MAP_EXHAUSTIVE_PAIRS = 50000      # --map-properties checks every pair up to this many
 MAP_SAMPLES = 500                 # and this many seeded samples past it
 MAP_WITNESSES = 5000              # fillings whose witness --map-properties maps back
+MAX_FRACTION_CHARS = 40           # longest --q/--t accepted
+FRACTION = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _parse_partition(raw: str, n: int | None) -> Partition:
@@ -69,11 +74,15 @@ def _parse_partition(raw: str, n: int | None) -> Partition:
 
 
 def _parse_fraction(flag: str, raw: str) -> Fraction:
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{flag} must be a rational number a/b with b != 0, "
-                         f"got {raw!r}") from None
+    """A rational ``a`` or ``a/b`` in decimal digits, checked before it is built."""
+    if len(raw) <= MAX_FRACTION_CHARS and FRACTION.fullmatch(raw):
+        try:
+            return Fraction(raw)
+        except ZeroDivisionError:
+            pass
+    got = repr(raw) if len(raw) <= MAX_FRACTION_CHARS else f"{len(raw)} characters"
+    raise ValueError(f"{flag} must be a rational number a/b with b != 0, in at most "
+                     f"{MAX_FRACTION_CHARS} characters, got {got}")
 
 
 def _oracle_points(args) -> list[tuple[Fraction, Fraction]] | None:
@@ -100,10 +109,19 @@ def _compute(lam: Partition, n: int, formula: str, jobs: int) -> SymFun:
 
 
 def _emit_symfun(P: SymFun, lam: Partition, n: int, out: str) -> None:
-    if out == "json":
-        print(json.dumps(symfun_json_obj(lam.parts, n, P), separators=(",", ":")))
-    else:
+    """Print P as text, or as one JSON line written a monomial at a time."""
+    if out != "json":
         print(symfun_str(P))
+        return
+    write = sys.stdout.write
+    write(f'{{"lambda":{json.dumps(list(lam.parts), separators=JSON_SEPARATORS)},'
+          f'"n":{n},"monomials":[')
+    for i, content in enumerate(sorted(P, reverse=True)):
+        if i:
+            write(",")
+        write(json.dumps(monomial_json_obj(content, P[content]),
+                         separators=JSON_SEPARATORS))
+    write("]}\n")
 
 
 def cmd_chain(args) -> int:
@@ -189,6 +207,10 @@ def _load_symfun_json(stream) -> tuple[Partition, int, SymFun]:
 
 
 def cmd_verify(args) -> int:
+    if not args.oracle:
+        for flag, value in (("--q", args.q), ("--t", args.t), ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(f"{flag} is read only with --oracle")
     points = _oracle_points(args) if args.oracle else None
     P: SymFun | None = None
     if args.infile:
@@ -234,7 +256,7 @@ def cmd_verify(args) -> int:
         ]
     if args.oracle:
         P_here = P if P is not None else _compute(lam, n, args.formula, args.jobs)
-        result = check_specializations(P_here, lam, n, seed=args.seed,
+        result = check_specializations(P_here, lam, n, seed=args.seed or 0,
                                        points=points)
         for entry in result.checks:
             add(entry.name, entry.ok, entry.detail)
@@ -250,7 +272,7 @@ def cmd_verify(args) -> int:
         add("formulas-agree", ry == cp,
             f"{len(ry)} monomials" if ry == cp else "expansions differ")
 
-    print(json.dumps(report, separators=(",", ":")))
+    print(json.dumps(report, separators=JSON_SEPARATORS))
     return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
 
 
@@ -473,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--per-class", action="store_true")
     p_verify.add_argument("--oracle", action="store_true")
     p_verify.add_argument("--map-properties", action="store_true")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help="seed of the oracle points (default 0)")
     p_verify.add_argument("--q", default=None, help="explicit q0 as a/b")
     p_verify.add_argument("--t", default=None, help="explicit t0 as c/d")
     p_verify.add_argument("--formula", choices=("ram-yip", "compressed"),

@@ -38,8 +38,10 @@ from .chain import (
 )
 from .fillings import (
     Filling,
+    _filling_total,
     _term_raw,
     check_filling_cap,
+    column_table,
     compressed_term,
     diagram_denominator,
     enumerate_nonattacking,
@@ -446,7 +448,8 @@ def class_sum(pairs: list[FoldingPair], chain: LambdaChain,
 def _check_class(sigma: Filling, pairs: list[FoldingPair],
                  window: ClassWindow) -> ClassResult:
     """The class identity of one filling, decided on packed integers."""
-    num_r, den_r, content = _term_raw(sigma.shape, sigma.values, sigma.n)
+    table = column_table(sigma.parts, sigma.n, "paper")
+    num_r, den_r, content = _term_raw(table, _filling_total(table, sigma.values))
     lhs, contents_ok = class_sum(pairs, window.chain, content, window)
     ok = contents_ok and window.identity_holds(lhs, num_r, den_r)
     return ClassResult(pairs, ok, contents_ok, sigma, None if ok else lhs.value)

@@ -27,8 +27,10 @@ fillings are walks through a ``ColumnTable``: states are one column's value
 tuple, steps go to the admissible tuples of the next column and carry their
 share of the statistics (the transfer-matrix method, Stanley, EC I 4.7).
 Enumeration is a depth-first walk in reading-order-lex order, counting
-pushes a vector of first columns through the steps, and ``_term_raw`` sums a
-filling's state and step weights.  Tables are built lazily, only as far as
+pushes a vector of first columns through the steps, and the filling sum
+walks the same way carrying each path's running packed statistics, which
+``_term_raw`` decodes once per filling (``_filling_total`` re-walks a given
+value tuple).  Tables are built lazily, only as far as
 the walk reaches, per (parts, n, convention) by the cached ``column_table``;
 callers check the filling cap first.
 """
@@ -490,33 +492,34 @@ def column_prefixes(lam: Partition, n: int) -> list[tuple[int, ...]]:
     return list(column_table(lam.parts, n, "paper").column_tuples(0, ()))
 
 
-def _term_raw(shape: Shape, vals: tuple[int, ...], n: int):
-    """Bare numerator, denominator multiset, and content of one filling term.
+def _filling_total(table: ColumnTable, vals: tuple[int, ...]) -> int:
+    """The packed statistics of one value tuple, walked column by column.
 
-    The numerator is the monomial q^maj t^(n(lambda)-inv) alone; the term's
-    value is num * (1-t)^|den| / prod(den) (see ``qt.term_value``).  The
-    statistics are the sum of the filling's column and step weights in the
-    paper convention's ``column_table``; the returned multiset is shared by
-    every term with the same Diff factors.  Raises ``AttackViolation`` when a
-    column is not admissible after the one before it.
+    The sum of its first state's weight and its steps' weights in ``table``;
+    raises ``AttackViolation`` when a column is not admissible after the one
+    before it.
     """
-    table = column_table(shape.parts, n, "paper")
-    head = vals[:table.first_height]
-    try:
-        state = table.states[0][head]
-    except KeyError:
-        state = table.first_state(head)
+    state = table.first_state(vals[:table.first_height])
     total = state.weight
     try:
         for a, b in table.slices:
-            succ = state.succ
-            if succ is None:
-                succ = table.successors(state)
-            weight, state = succ[vals[a:b]]
+            weight, state = table.successors(state)[vals[a:b]]
             total += weight
     except KeyError:
         raise AttackViolation(
             f"filling {vals} has an attacking pair with equal values") from None
+    return total
+
+
+def _term_raw(table: ColumnTable, total: int):
+    """Bare numerator, denominator multiset, and content of one filling term.
+
+    ``total`` is the filling's packed statistics in ``table`` (a paper
+    convention ``column_table``).  The numerator is the monomial
+    q^maj t^(n(lambda)-inv) alone; the term's value is
+    num * (1-t)^|den| / prod(den) (see ``qt.term_value``).  The returned
+    multiset is shared by every term with the same Diff factors.
+    """
     diff = total >> table.dshift & table.dmask
     try:
         den = table.dens[diff]
@@ -534,7 +537,8 @@ def compressed_term(sigma: Filling) -> tuple[RationalQT, Content]:
     """The coefficient and content of one nonattacking filling's term."""
     if not sigma.is_nonattacking():
         raise AttackViolation("filling has an attacking pair with equal values")
-    num, den, content = _term_raw(sigma.shape, sigma.values, sigma.n)
+    table = column_table(sigma.parts, sigma.n, "paper")
+    num, den, content = _term_raw(table, _filling_total(table, sigma.values))
     return term_value(num, den), content
 
 
@@ -586,16 +590,38 @@ def compressed_shard(lam: Partition, n: int, prefixes: list[tuple[int, ...]],
                      window: PackedWindow) -> ContentAccumulator:
     """Accumulate filling terms whose first column matches one of prefixes.
 
-    The sums are packed in ``window``, the caller's ``filling_window``.
-    Terms are grouped by denominator multiset and content over the whole
-    shard, and each group is lifted once when the shard ends.
+    One depth-first walk over the column table carries each path's running
+    packed statistics (the first state's weight plus each step's), so every
+    filling is reached once and decoded once by ``_term_raw``.  The sums are
+    packed in ``window``, the caller's ``filling_window``.  Terms are
+    grouped by denominator multiset and content over the whole shard, and
+    each group is lifted once when the shard ends.
     """
-    shape = shape_of(lam.parts)
     table = column_table(lam.parts, n, "paper")
     acc = ContentAccumulator(window)
-    for vals in _enumerate_values(table, prefixes):
-        num, den, content = _term_raw(shape, vals, n)
-        acc.add(content, num, den)
+    add, term_raw, successors = acc.add, _term_raw, table.successors
+    last = len(table.slices) - 1
+    for first in prefixes:
+        state = table.first_state(first)
+        if last < 0:
+            num, den, content = term_raw(table, state.weight)
+            add(content, num, den)
+            continue
+        stack = [(state, state.weight, 0)]
+        while stack:
+            state, total, level = stack.pop()
+            succ = state.succ
+            if succ is None:
+                succ = successors(state)
+            if level == last:
+                for weight, _nxt in succ.values():
+                    num, den, content = term_raw(table, total + weight)
+                    add(content, num, den)
+            else:
+                level += 1
+                # pushed in reverse, so the fillings come out in reading-order-lex order
+                stack.extend([(nxt, total + weight, level)
+                              for weight, nxt in reversed(succ.values())])
     acc.flush()
     return acc
 

@@ -330,13 +330,6 @@ def rational_str(f: RationalQT) -> str:
     return f"({num})/{den}"
 
 
-def rational_json_obj(f: RationalQT) -> dict:
-    return {
-        "num": [[a, b, f.num[(a, b)]] for (a, b) in sorted(f.num)],
-        "den": [[a, b] for (a, b) in f.den],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Symmetric-function accumulators keyed by content vectors
 
@@ -385,14 +378,12 @@ def symfun_str(P: SymFun) -> str:
     return " + ".join(terms)
 
 
-def symfun_json_obj(parts: Content, n: int, P: SymFun) -> dict:
+def monomial_json_obj(content: Content, coef: RationalQT) -> dict:
+    """One entry of the ``monomials`` list of a ``compute --out json`` document."""
     return {
-        "lambda": list(parts),
-        "n": n,
-        "monomials": [
-            {"exp": list(content), **rational_json_obj(P[content])}
-            for content in sorted(P, reverse=True)
-        ],
+        "exp": list(content),
+        "num": [[a, b, coef.num[(a, b)]] for (a, b) in sorted(coef.num)],
+        "den": [[a, b] for (a, b) in coef.den],
     }
 
 

@@ -5,16 +5,19 @@ import io
 import json
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import macdonald.fillings as fillings
 import macdonald.ramyip as ramyip
 import macdonald.weyl as weyl
-from macdonald.chain import InternalInvariantError
+from macdonald.chain import InternalInvariantError, Partition
 from macdonald.cli import main
+from macdonald.qt import ContentAccumulator
 
 
 def run_cli(capsys, argv):
@@ -359,6 +362,16 @@ def test_one_job_runs_one_shard_in_process(capsys, monkeypatch, formula, worker)
     ["verify", "--oracle", "--lambda", "2,1,0", "--q", "1/2", "--t", "x"],
     ["verify", "--per-class", "--oracle", "--lambda", "3,2,1,0", "--q", "1/2"],
     ["verify", "--per-class", "--oracle", "--lambda", "3,2,1,0", "--t", "1/2"],
+    ["verify", "--oracle", "--lambda", "2,1,0", "--q", "1e300", "--t", "1/2"],
+    ["verify", "--oracle", "--lambda", "2,1,0", "--q", "1/2", "--t", "0.5"],
+    ["verify", "--oracle", "--lambda", "2,1,0", "--q", "nan", "--t", "1/2"],
+    ["verify", "--oracle", "--lambda", "2,1,0", "--q", "1/00", "--t", "1/2"],
+    ["verify", "--oracle", "--lambda", "2,1,0", "--q", "1/2", "--t", "9" * 41],
+    ["verify", "--per-class", "--lambda", "2,1,0", "--q", "1/0"],
+    ["verify", "--per-class", "--lambda", "2,1,0", "--t", "1/2"],
+    ["verify", "--lambda", "2,1,0", "--q", "1/2", "--t", "1/3"],
+    ["verify", "--per-class", "--lambda", "2,1,0", "--seed", "3"],
+    ["verify", "--map-properties", "--lambda", "2,1,0", "--seed", "0"],
 ])
 def test_verify_bad_oracle_point_exits_2_before_any_work(capsys, monkeypatch, argv):
     import macdonald.cli as cli
@@ -368,9 +381,55 @@ def test_verify_bad_oracle_point_exits_2_before_any_work(capsys, monkeypatch, ar
 
     monkeypatch.setattr(cli, "verify_all_classes", no_work)
     monkeypatch.setattr(cli, "_compute", no_work)
+    monkeypatch.setattr(cli, "_map_property_checks", no_work)
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: --") and err.count("\n") == 1
+
+
+def test_exponent_notation_is_refused_before_any_integer_is_built(capsys):
+    # Fraction("1e10000000") alone takes seconds; the refusal must not build it
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["verify", "--oracle", "--lambda", "2,1,0",
+                                      "--q", "1e10000000", "--t", "1/2"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("error: --q")
+
+
+def test_verify_oracle_seed_defaults_to_zero(capsys):
+    argv = ["verify", "--oracle", "--lambda", "3,2,1,0"]
+    code, default, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert run_cli(capsys, argv + ["--seed", "0"])[1] == default
+    assert run_cli(capsys, argv + ["--seed", "1"])[1] != default
+
+
+@pytest.mark.parametrize("formula, parts, module, name", [
+    ("compressed", (4, 3, 2, 1, 0), fillings, "_term_raw"),
+    ("ram-yip", (5, 3, 1, 0), ramyip, "_walk_term_raw"),
+])
+def test_every_term_is_built_and_added_once(capsys, monkeypatch, formula, parts,
+                                            module, name):
+    # the benchmark's traced counts read these entry points
+    if formula == "compressed":
+        terms = fillings.count_nonattacking(Partition(parts), len(parts))
+    else:
+        terms = 49_152
+    calls = Counter()
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(module, name, counted("term", getattr(module, name)))
+    monkeypatch.setattr(ContentAccumulator, "add",
+                        counted("add", ContentAccumulator.add))
+    code, out, _ = run_cli(capsys, ["compute", "--lambda", ",".join(map(str, parts)),
+                                    "--formula", formula, "--jobs", "1", "--out", "json"])
+    assert code == 0 and json.loads(out)["lambda"] == list(parts)
+    assert calls == {"term": terms, "add": terms}
 
 
 @pytest.mark.parametrize("rows", ["9", "1,5", "0", "x"])

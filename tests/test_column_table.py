@@ -3,12 +3,14 @@
 Enumeration, counting and filling terms all run on ``fillings.column_table``.
 Here they are checked against references that do not use it: every
 column-injective value tuple, filtered by the attacker lists and sorted, and
-``filling_stats`` for the term of each filling.
+``filling_stats`` for the term of each filling.  The one-pass filling sum of
+``compressed_shard`` is checked against the terms of the enumerated tuples.
 """
 
 import itertools
 import math
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,8 +23,11 @@ from macdonald.fillings import (
     Filling,
     _count_values,
     _enumerate_values,
+    _filling_total,
     _term_raw,
+    column_prefixes,
     column_table,
+    compressed_shard,
     count_nonattacking,
     diagram_denominator,
     enumerate_nonattacking,
@@ -31,7 +36,7 @@ from macdonald.fillings import (
     filling_window,
     shape_of,
 )
-from macdonald.qt import PackedWindow
+from macdonald.qt import ContentAccumulator, PackedWindow
 
 MAX_CANDIDATES = 20_000      # column-injective tuples a brute force may scan
 
@@ -69,6 +74,12 @@ def reference_term(lam, n, vals):
     return {(stats.maj, shape.n_lambda - stats.inv): 1}, den, stats.content
 
 
+def term_of(lam, n, vals):
+    """The filling term of a value tuple, re-walked from its columns."""
+    table = column_table(lam.parts, n, "paper")
+    return _term_raw(table, _filling_total(table, vals))
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_shapes(), st.sampled_from(["paper", "hhl"]))
 def test_walk_and_count_equal_brute_force(shape_n, convention):
@@ -88,10 +99,9 @@ def test_walk_and_count_equal_brute_force(shape_n, convention):
 def test_term_raw_equals_filling_stats(shape_n, data):
     lam, n = shape_n
     fillings = brute_force(lam, n, "paper")
-    shape = shape_of(lam.parts)
     picks = data.draw(st.lists(st.sampled_from(fillings), min_size=1, max_size=30))
     for vals in picks:
-        assert _term_raw(shape, vals, n) == reference_term(lam, n, vals)
+        assert term_of(lam, n, vals) == reference_term(lam, n, vals)
 
 
 @settings(max_examples=60, deadline=None)
@@ -102,10 +112,10 @@ def test_term_raw_rejects_attacking_tuples(shape_n, data):
     vals = tuple(data.draw(st.lists(st.integers(1, n), min_size=len(shape.cells),
                                     max_size=len(shape.cells))))
     if Filling(lam.parts, n, vals).is_nonattacking():
-        assert _term_raw(shape, vals, n) == reference_term(lam, n, vals)
+        assert term_of(lam, n, vals) == reference_term(lam, n, vals)
     else:
         with pytest.raises(AttackViolation):
-            _term_raw(shape, vals, n)
+            _filling_total(column_table(lam.parts, n, "paper"), vals)
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,7 +127,7 @@ def test_filling_terms_lie_in_the_stated_range(shape_n):
     t_lo, t_hi = filling_t_range(shape)
     fillings = brute_force(lam, n, "paper")
     for vals in fillings:
-        ((a, b), c), = _term_raw(shape, vals, n)[0].items()
+        ((a, b), c), = term_of(lam, n, vals)[0].items()
         assert c == 1 and a >= 0 and t_lo <= b <= t_hi
     assert filling_window(lam, n) == PackedWindow.bounded(
         diagram_denominator(shape), t_lo, t_hi, len(fillings))
@@ -125,13 +135,36 @@ def test_filling_terms_lie_in_the_stated_range(shape_n):
 
 def test_terms_share_one_counter_per_diff_multiset():
     lam = Partition((3, 2, 1, 0))
-    shape = shape_of(lam.parts)
     dens = {}
     for sigma in enumerate_nonattacking(lam, 4):
-        _num, den, _content = _term_raw(shape, sigma.values, 4)
+        _num, den, _content = term_of(lam, 4, sigma.values)
         key = tuple(sorted(den.elements()))
         assert dens.setdefault(key, den) is den
     assert len(dens) > 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_shapes(), st.data())
+def test_shards_sum_to_the_terms_of_every_filling(shape_n, data):
+    # one pass per shard carries the packed statistics that the re-walk sums
+    lam, n = shape_n
+    table = column_table(lam.parts, n, "paper")
+    window = filling_window(lam, n)
+    reference = ContentAccumulator(window)
+    for vals in _enumerate_values(table, table.column_tuples(0, ())):
+        num, den, content = _term_raw(table, _filling_total(table, vals))
+        reference.add(content, num, den)
+    reference.flush()
+    firsts = column_prefixes(lam, n)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(firsts)), max_size=4)))
+    sums: dict = {}
+    with mock.patch("macdonald.fillings._term_raw", wraps=_term_raw) as term_raw:
+        for a, b in zip([0, *cuts], [*cuts, len(firsts)]):
+            shard = compressed_shard(lam, n, firsts[a:b], window)
+            for content, value in shard.packed.items():
+                sums[content] = sums.get(content, 0) + value
+    assert sums == reference.packed
+    assert term_raw.call_count == count_nonattacking(lam, n)
 
 
 def test_table_builds_only_what_the_walk_reaches():

@@ -190,8 +190,8 @@ def test_corrupted_filling_terms_fail_every_class(monkeypatch):
     lam = Partition((3, 2, 1, 0))
     real = compression._term_raw
 
-    def corrupted(shape, vals, n):
-        num, den, content = real(shape, vals, n)
+    def corrupted(table, total):
+        num, den, content = real(table, total)
         return {m: 7 * c for m, c in num.items()}, den, content
 
     monkeypatch.setattr(compression, "_term_raw", corrupted)
