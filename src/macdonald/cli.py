@@ -63,6 +63,7 @@ MAP_SAMPLES = 500                 # and this many seeded samples past it
 MAP_WITNESSES = 5000              # fillings whose witness --map-properties maps back
 MAX_FRACTION_CHARS = 40           # longest --q/--t accepted
 FRACTION = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+NEGATIVE_VALUE = re.compile(r"-[0-9]")
 
 
 def _parse_partition(raw: str, n: int | None) -> Partition:
@@ -83,6 +84,22 @@ def _parse_fraction(flag: str, raw: str) -> Fraction:
     got = repr(raw) if len(raw) <= MAX_FRACTION_CHARS else f"{len(raw)} characters"
     raise ValueError(f"{flag} must be a rational number a/b with b != 0, in at most "
                      f"{MAX_FRACTION_CHARS} characters, got {got}")
+
+
+def _join_negative_points(argv: list[str]) -> list[str]:
+    """``--q -2/3`` as ``--q=-2/3``, and likewise for ``--t``.
+
+    argparse reads an argument that starts with ``-`` and is not a plain
+    number as a flag, so a negative fraction would leave ``--q`` without its
+    value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--q", "--t") and NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _oracle_points(args) -> list[tuple[Fraction, Fraction]] | None:
@@ -521,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_points(
+        sys.argv[1:] if argv is None else argv))
     if getattr(args, "lam", "") is None and getattr(args, "infile", None) is None:
         print("error: --lambda is required without --in", file=sys.stderr)
         return EXIT_INVALID

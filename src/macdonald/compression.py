@@ -14,7 +14,8 @@ That is deliberate: the verifier stays independent of the column structure it
 verifies.
 
 Each class identity is decided exactly on integers.  Both sides are lifted
-to a common denominator and packed (Kronecker substitution) into one
+to one denominator, the multiset union of the chain and diagram
+denominators, and packed (Kronecker substitution) into one
 ``qt.PackedWindow``, fixed for the whole run by ``ClassWindow`` from the
 bounds each formula proves for its terms, so the identity holds exactly
 when two Python ints are equal.  The filling's term is never
@@ -49,7 +50,6 @@ from .fillings import (
     shape_of,
 )
 from .qt import (
-    ONE_MINUS_T,
     DenomFactor,
     Laurent,
     PackedWindow,
@@ -176,27 +176,25 @@ def fiber_witness(sigma: Filling, lam: Partition) -> FoldingPair:
 
 
 class FiberSum:
-    """A fiber's walk terms summed over the lcm of their denominators.
+    """A fiber's walk terms summed over the window's factors.
 
     The numerator is one packed integer of a ``ClassWindow``; ``value``
-    unpacks it, on first use, into the unreduced ``RationalQT`` over the lcm,
-    and ``num``, ``den`` and ``==`` read that value.
+    unpacks it, on first use, into the unreduced ``RationalQT`` over the
+    window's factors, and ``num``, ``den`` and ``==`` read that value.
     """
 
-    __slots__ = ("packed", "lcm_id", "window", "_value")
+    __slots__ = ("packed", "window", "_value")
 
-    def __init__(self, packed: int, lcm_id: int, window: "ClassWindow"):
+    def __init__(self, packed: int, window: "ClassWindow"):
         self.packed = packed
-        self.lcm_id = lcm_id
         self.window = window
         self._value: RationalQT | None = None
 
     @property
     def value(self) -> RationalQT:
         if self._value is None:
-            window = self.window
-            self._value = RationalQT(window.packing.unpack(self.packed),
-                                     window.multisets[self.lcm_id])
+            packing = self.window.packing
+            self._value = RationalQT(packing.unpack(self.packed), packing.factors)
         return self._value
 
     @property
@@ -218,113 +216,68 @@ class FiberSum:
 class ClassWindow:
     """The packed window and the memos shared by the fibers of one check.
 
-    One ``qt.PackedWindow`` holds both sides of every class identity, so
-    each side is one integer.  Its numerators are the walk terms
-    (``ramyip.walk_t_range``) and the filling terms
-    (``fillings.filling_t_range``) of the chain's partition, and its weight
-    is ``max_fiber``, the most walk terms a fiber holds.  Both sides of a
-    class are lifted to ``lcm | den_r``, with ``lcm`` the lcm of the fiber's
-    walk denominators and ``den_r`` the filling's: a walk term over ``den``
-    by ``(1-t)^|den|``, the binomials of ``lcm - den`` and then those of
-    ``den_r - lcm``, the filling's numerator by ``(1-t)^|den_r|`` and the
-    binomials of ``lcm - den_r``.  Either way that is one factor per element of
-    ``lcm | den_r``, a sub-multiset of the chain and diagram denominators
-    together, which the window takes as its factors.
+    A class identity says that the fiber's walk terms, each a bare term
+    ``num * (1-t)^|den| / prod(den)``, sum to the filling's bare term over
+    ``den_r``.  Every walk ``den`` lies inside the chain denominator, so the
+    fiber's lcm does too, and ``den_r`` lies inside the diagram denominator;
+    so ``lcm | den_r`` lies inside their multiset union ``U``, which the
+    window takes as its factors.  Multiplying both sides by ``prod(U)``
+    multiplies the identity over ``lcm | den_r`` by the remaining factors,
+    nonzero polynomials: an equality stays an equality and an inequality an
+    inequality.  Each side then becomes a polynomial, a bare term over
+    ``den`` turning into ``num * lift(den)`` with
+    ``lift(den) = (1-t)^|den| * prod(U - den)`` (``PackedWindow.lift``), so
+    the identity holds exactly when two packed ints are equal.
 
-    A numerator outside the window, or a fiber over its budget, raises
-    ``InternalInvariantError``: no packed comparison ever reads a wrapped
-    digit.
+    Every lifted term carries exactly ``|U|`` factors, so
+    ``PackedWindow.bounded`` sizes the span and the digits for ``|U|``
+    factors over both formulas' t ranges (``ramyip.walk_t_range``,
+    ``fillings.filling_t_range``), with weight ``max_fiber``, the most walk
+    terms a fiber holds.  A numerator outside the window, or a fiber over
+    its budget, raises ``InternalInvariantError``: no packed comparison ever
+    reads a wrapped digit.
 
-    The memos live as long as the window: each fold set's fold plan
-    (``ramyip._fold_data``) and multiset id, the walk terms' lengths and
-    weight readers (``ramyip.WalkMemo``), each fiber's lcm by the set of its
-    terms' multiset ids, and each packed lift by ``(lcm id, multiset id)``.
-    Multisets are interned as small ints (``multisets`` maps an id back to
-    its sorted factors).
+    The memos live as long as the window: each fold set's fold list, fold
+    plan (``ramyip._fold_data``) and lift, each lift by multiset, and the
+    walk terms' lengths and weight readers (``ramyip.WalkMemo``).
     """
 
     def __init__(self, chain: LambdaChain, max_fiber: int):
         self.chain = chain
         shape = shape_of(chain.partition.parts)
         self.diagram = Counter(diagram_denominator(shape))
+        union = Counter(chain_denominator(chain)) | self.diagram
         (w_lo, w_hi), (f_lo, f_hi) = walk_t_range(chain), filling_t_range(shape)
-        t_lo, t_hi = min(w_lo, f_lo), max(w_hi, f_hi)
         self.packing = PackedWindow.bounded(
-            [*chain_denominator(chain), *self.diagram.elements()], t_lo, t_hi,
-            max_fiber)
-        self.multisets: list[tuple[DenomFactor, ...]] = []
-        self._ids: dict[tuple[DenomFactor, ...], int] = {}
+            union.elements(), min(w_lo, f_lo), max(w_hi, f_hi), max_fiber)
         self.memo = WalkMemo()
         self._folds: dict[frozenset[int], tuple] = {}
-        self._lcms: dict[frozenset[int], int] = {}
-        self._lifts: dict[tuple[int, int], int] = {}
-        self._extra: dict[tuple[int, int], list] = {}
-
-    def intern(self, den: Counter) -> int:
-        """The id of a denominator multiset."""
-        key = tuple(sorted(den.elements()))
-        idx = self._ids.get(key)
-        if idx is None:
-            idx = self._ids[key] = len(self.multisets)
-            self.multisets.append(key)
-        return idx
+        self._lifts: dict[frozenset, int] = {}
 
     def fold_set(self, folds: frozenset[int]) -> tuple:
-        """(fold list, fold plan, multiset id) of a fold set."""
+        """(fold list, fold plan, lift) of a fold set."""
         entry = self._folds.get(folds)
         if entry is None:
             fold_list = sorted(folds)
             fold_data = _fold_data(fold_list, self.chain)
             entry = self._folds[folds] = (fold_list, fold_data,
-                                          self.intern(fold_data[1]))
+                                          self.lift(fold_data.den))
         return entry
 
-    def lcm(self, den_ids: frozenset[int]) -> int:
-        """The id of the multiset lcm of the given multisets."""
-        idx = self._lcms.get(den_ids)
-        if idx is None:
-            lcm: Counter = Counter()
-            for den_id in den_ids:
-                lcm |= Counter(self.multisets[den_id])
-            idx = self._lcms[den_ids] = self.intern(lcm)
-        return idx
-
-    def lift(self, lcm_id: int, den_id: int) -> int:
-        """(1-t)^|den| times the binomials of lcm - den, packed."""
-        key = (lcm_id, den_id)
+    def lift(self, den: Counter) -> int:
+        """``PackedWindow.lift(den)``, memoised by multiset."""
+        key = frozenset(den.items())
         lift = self._lifts.get(key)
         if lift is None:
-            den = Counter(self.multisets[den_id])
-            missing = Counter(self.multisets[lcm_id]) - den
-            lift = self._lifts[key] = self.packing.times_binomials(
-                1, [*missing.items(), (ONE_MINUS_T, sum(den.values()))])
+            lift = self._lifts[key] = self.packing.lift(den)
         return lift
-
-    def identity_holds(self, lhs: FiberSum, num_r: Laurent, den_r: Counter) -> bool:
-        """lhs * lift(den_r - lcm) == num_r * (1-t)^|den_r| * lift(lcm - den_r).
-
-        ``(num_r, den_r)`` is the filling's bare term, unreduced.
-        """
-        key = (lhs.lcm_id, self.intern(den_r))
-        extra = self._extra.get(key)
-        if extra is None:
-            if den_r - self.diagram:
-                raise InternalInvariantError(
-                    f"filling denominator {sorted(den_r.elements())} is not "
-                    f"part of the diagram denominator")
-            lcm = Counter(self.multisets[lhs.lcm_id])
-            extra = self._extra[key] = list((den_r - lcm).items())
-        packing = self.packing
-        right, weight = packing.pack(num_r, self.lift(*key))
-        packing.check_weight(weight)
-        return packing.times_binomials(lhs.packed, extra) == right
 
 
 @dataclass(slots=True)
 class ClassResult:
     """Per-fiber verification data for one nonattacking filling.
 
-    ``lhs`` (the fiber sum over its own lcm, unreduced) and ``rhs`` (the
+    ``lhs`` (the fiber sum over the window's factors, unreduced) and ``rhs`` (the
     filling's reduced term) are built on first use; a failing class keeps
     the ``lhs`` its check computed.
     """
@@ -404,54 +357,52 @@ def class_sum(pairs: list[FoldingPair], chain: LambdaChain,
     """Sum of walk coefficients over a fiber, plus a content-match flag.
 
     Every walk term of the fiber is built and its content checked; the terms
-    of the expected content are summed over the lcm of the fiber's own
-    denominators rather than the whole chain's.  A bare term over ``den`` is
-    lifted to that lcm by ``(1-t)^|den|`` times the binomials of
-    ``lcm - den``.  The sum is one packed integer of ``window``, and each
-    term adds its lift, a packed integer memoised by the window, shifted to
-    the term's monomial.  Pairs are grouped by fold set, whose fold plan
-    (``ramyip._fold_data``), multiset and lift are shared by all of the
-    set's terms, as are the window's memoised lengths and weight readers.
-    ``verify_all_classes`` passes one window for all of its fibers; without
-    one, a window is made for this fiber alone.
+    of the expected content are summed over the window's factors, each bare
+    term lifted by its fold set's lift (``ClassWindow``).  The sum is one
+    packed integer of ``window``: each term adds its lift shifted to its
+    monomial.  A fold set's fold plan (``ramyip._fold_data``) and lift are
+    memoised by the window, as are its walk terms' lengths and weight
+    readers.  ``verify_all_classes`` passes one window for all of its
+    fibers; without one, a window is made for this fiber alone.
     """
     if window is None:
         window = ClassWindow(chain, len(pairs))
-    by_folds: dict[frozenset[int], list[Perm]] = {}
-    for pair in pairs:
-        perms = by_folds.get(pair.folds)
-        if perms is None:
-            by_folds[pair.folds] = [pair.w]
-        else:
-            perms.append(pair.w)
-    batches = [(window.fold_set(folds), perms) for folds, perms in by_folds.items()]
-    lcm_id = window.lcm(frozenset(entry[2] for entry, _perms in batches))
     packing = window.packing
     memo = window.memo
     total = weight = 0
     contents_ok = True
-    for (fold_list, fold_data, den_id), perms in batches:
-        lift = window.lift(lcm_id, den_id)
-        for w in perms:
-            num, _den, content = _walk_term_raw(w, fold_list, chain, None,
-                                                fold_data, memo)
-            if content != expected_content:
-                contents_ok = False
-                continue
-            value, num_weight = packing.pack(num, lift)
-            total += value
-            weight += num_weight
+    for pair in pairs:
+        fold_list, fold_data, lift = window.fold_set(pair.folds)
+        num, _den, content = _walk_term_raw(pair.w, fold_list, chain, None,
+                                            fold_data, memo)
+        if content != expected_content:
+            contents_ok = False
+            continue
+        value, num_weight = packing.pack(num, lift)
+        total += value
+        weight += num_weight
     packing.check_weight(weight)
-    return FiberSum(total, lcm_id, window), contents_ok
+    return FiberSum(total, window), contents_ok
 
 
 def _check_class(sigma: Filling, pairs: list[FoldingPair],
                  window: ClassWindow) -> ClassResult:
-    """The class identity of one filling, decided on packed integers."""
+    """The class identity of one filling, decided on packed integers.
+
+    The filling's bare term ``(num_r, den_r)``, unreduced, is lifted like
+    the walk terms, so the identity is one comparison of two ints.
+    """
     table = column_table(sigma.parts, sigma.n, "paper")
     num_r, den_r, content = _term_raw(table, _filling_total(table, sigma.values))
+    if den_r - window.diagram:
+        raise InternalInvariantError(
+            f"filling denominator {sorted(den_r.elements())} is not "
+            f"part of the diagram denominator")
     lhs, contents_ok = class_sum(pairs, window.chain, content, window)
-    ok = contents_ok and window.identity_holds(lhs, num_r, den_r)
+    packing = window.packing
+    rhs, weight = packing.pack(num_r, window.lift(den_r))
+    packing.check_weight(weight)
+    ok = contents_ok and lhs.packed == rhs
     return ClassResult(pairs, ok, contents_ok, sigma, None if ok else lhs.value)
 
 

@@ -27,8 +27,9 @@ Three layers:
     lifts' growth, so no digit overflows.  Sums of packed ints, and products
     with a binomial (a shift and a subtraction), are therefore exactly the
     dict arithmetic, done at C speed; each sum is unpacked once, to be
-    reduced.  The per-class check in ``compression`` packs in the same
-    window type.
+    reduced.  ``PackedWindow.lift`` is the one lift to the shared
+    denominator: the accumulator and the per-class check in
+    ``compression`` both lift through it.
 
 Every term of both formulas has the shape
 
@@ -466,7 +467,7 @@ class PackedWindow(NamedTuple):
     def pack(self, num: Laurent, lift: int = 1) -> tuple[int, int]:
         """``num * lift`` packed, and the weight of ``num``.
 
-        ``lift`` is a packed lift (``times_binomials``); each monomial of
+        ``lift`` is a packed lift (see ``lift``); each monomial of
         ``num`` shifts it to its slot, after ``check_monomial``.
         """
         t_lo, t_hi, span, bits = self.t_lo, self.t_hi, self.span, self.bits
@@ -478,14 +479,27 @@ class PackedWindow(NamedTuple):
             value += (lift * c) << bits * (a * span + b - t_lo)
         return value, weight
 
-    def times_binomials(self, value: int,
-                        factors: Iterable[tuple[DenomFactor, int]]) -> int:
-        """value * prod (1 - q^a t^b)^mult: a shift and a subtraction each."""
+    def lift(self, den: dict[DenomFactor, int]) -> int:
+        """``(1-t)^|den| * prod(factors - den)``, packed.
+
+        This lifts a bare term over ``den`` to the shared denominator: one
+        factor per element of ``factors``, the element itself where ``den``
+        lacks it and ``1 - t`` where ``den`` holds it.  Raises ``ValueError``
+        when ``den`` is not a sub-multiset of ``factors``.
+        """
         span, bits = self.span, self.bits
-        for (a, b), mult in factors:
-            shift = bits * (a * span + b)
-            for _ in range(mult):
-                value -= value << shift
+        left = dict(den)
+        value = 1
+        for f in self.factors:
+            if left.get(f):
+                left[f] -= 1
+                value -= value << bits                       # 1 - t
+            else:
+                value -= value << bits * (f[0] * span + f[1])
+        if any(left.values()):
+            raise ValueError(
+                f"term denominator {sorted(Counter(den).elements())} is not part "
+                f"of the shared denominator {list(self.factors)}")
         return value
 
     def unpack(self, value: int) -> Laurent:
@@ -519,9 +533,10 @@ class ContentAccumulator:
     until the next flush, so callers that pass one shared multiset for many
     terms freeze it into a key once; ``den`` must not be changed after it is
     passed.  ``flush`` lifts each group once, by ``(1-t)^|den|`` times the
-    binomials of the shared denominator that ``den`` lacks, into the
-    per-content sums; ``finalize`` flushes first, and ``merge`` and
-    ``add_lifted`` add another accumulator's sums.
+    binomials of the shared denominator that ``den`` lacks
+    (``PackedWindow.lift``), into the per-content sums; ``finalize`` flushes
+    first, and ``add_lifted`` adds a sum packed in the same window, such as
+    a shard's (``parallel._merge_into``).
 
     Each content's lifted sum is one integer packed in ``window`` (``packed``),
     a ``PackedWindow`` fixed at construction from the formula's proven
@@ -537,7 +552,7 @@ class ContentAccumulator:
 
     def __init__(self, window: PackedWindow):
         self.window = window
-        self.den = Counter(window.factors)
+        self.den = Counter(window.factors)     # the shared denominator
         self.packed: dict[Content, int] = {}
         self.weight = 0         # sum of |coefficient| over the flushed numerators
         self._groups: dict[frozenset, dict[Content, Laurent]] = {}
@@ -565,7 +580,7 @@ class ContentAccumulator:
         """Lift every pending (den, content) group into the per-content sums."""
         window, packed, weight = self.window, self.packed, self.weight
         for key, group in self._groups.items():
-            lift = self._packed_lift(dict(key))
+            lift = window.lift(dict(key))
             for content, num in group.items():
                 value, num_weight = window.pack(num, lift)
                 packed[content] = packed.get(content, 0) + value
@@ -575,29 +590,9 @@ class ContentAccumulator:
         self._groups.clear()
         self._den_groups.clear()
 
-    def _packed_lift(self, den: dict[DenomFactor, int]) -> int:
-        """(1-t)^|den| times the binomials ``den`` lacks, as a packed integer."""
-        shared = self.den
-        if any(mult > shared[f] for f, mult in den.items()):
-            raise ValueError(
-                f"term denominator {sorted(Counter(den).elements())} is not part "
-                f"of the shared denominator {list(self.window.factors)}")
-        missing = [(f, mult - den.get(f, 0)) for f, mult in shared.items()]
-        missing.append((ONE_MINUS_T, sum(den.values())))
-        return self.window.times_binomials(1, missing)
-
     def add_lifted(self, content: Content, value: int) -> None:
         """Add a lifted sum packed in this accumulator's window."""
         self.packed[content] = self.packed.get(content, 0) + value
-
-    def merge(self, other: "ContentAccumulator") -> None:
-        if other.window != self.window:
-            raise ValueError("cannot merge accumulators over different windows")
-        other.flush()
-        self.weight += other.weight
-        self.window.check_weight(self.weight)
-        for content, value in other.packed.items():
-            self.add_lifted(content, value)
 
     def finalize(self) -> SymFun:
         """Unpack and reduce each content's sum; this empties the accumulator.

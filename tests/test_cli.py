@@ -170,6 +170,18 @@ def test_verify_oracle_explicit_point(capsys):
     assert any(c["name"] == "oracle@(2/3,5/7)" for c in report["checks"])
 
 
+@pytest.mark.parametrize("q, t", [("-2/3", "5/7"), ("2/3", "-5/7")])
+def test_verify_oracle_negative_point_with_or_without_equals(capsys, q, t):
+    argv = ["verify", "--oracle", "--lambda", "2,1,0"]
+    joined = run_cli(capsys, argv + [f"--q={q}", f"--t={t}"])
+    spaced = run_cli(capsys, argv + ["--q", q, "--t", t])
+    assert spaced == joined
+    code, out, _ = spaced
+    assert code == 0
+    report = json.loads(out)
+    assert any(c["name"] == f"oracle@({q},{t})" for c in report["checks"])
+
+
 def test_verify_from_json_file(capsys, tmp_path):
     _, out, _ = run_cli(
         capsys,

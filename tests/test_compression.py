@@ -160,7 +160,7 @@ def test_shared_lift_memo_matches_fresh_memo_per_fiber():
 
 def test_corrupted_walk_terms_fail_their_class(monkeypatch):
     lam = Partition((3, 2, 1, 0))
-    # a fiber of two pairs whose sum over its own lcm is not yet reduced
+    # a fiber of two pairs whose sum over the window's factors is not reduced
     values = (1, 2, 3, 1, 2, 4)
     pairs = group_fibers(lam, 4)[values]
     assert len(pairs) == 2
@@ -169,7 +169,7 @@ def test_corrupted_walk_terms_fail_their_class(monkeypatch):
     def corrupted(w, folds, chain, *args, **kwargs):
         num, den, content = real(w, folds, chain, *args, **kwargs)
         if FoldingPair(w, frozenset(folds)) in pairs:
-            num = {m: 7 * c for m, c in num.items()}
+            num = {m: -c for m, c in num.items()}
         return num, den, content
 
     monkeypatch.setattr(compression, "_walk_term_raw", corrupted)
@@ -178,8 +178,8 @@ def test_corrupted_walk_terms_fail_their_class(monkeypatch):
     result = report.classes[values]
     assert not result.ok and result.contents_ok
     assert sum(not c.ok for c in report.classes.values()) == 1
-    seven_rhs = {m: 7 * c for m, c in result.rhs.num.items()}
-    assert result.lhs == RationalQT(seven_rhs, result.rhs.den)
+    negated_rhs = {m: -c for m, c in result.rhs.num.items()}
+    assert result.lhs == RationalQT(negated_rhs, result.rhs.den)
     reduced = rational_str(rational_reduce(result.lhs))
     assert reduced != rational_str(result.lhs)
     assert report.first_failure.startswith("class identity failed for filling:")
@@ -212,8 +212,14 @@ def test_verify_class_decides_on_the_packed_identity(monkeypatch):
     lam = Partition((3, 2, 1, 0))
     sigma = next(enumerate_nonattacking(lam, 4))
     assert verify_all_classes(lam, 4).classes[sigma.values].ok
-    monkeypatch.setattr(compression.ClassWindow, "identity_holds",
-                        lambda self, lhs, num_r, den_r: False)
+    real = compression.class_sum
+
+    def off_by_one(pairs, chain, content, window=None):
+        # the fiber sum's packed integer, one unit off in its lowest digit
+        lhs, contents_ok = real(pairs, chain, content, window)
+        return compression.FiberSum(lhs.packed + 1, lhs.window), contents_ok
+
+    monkeypatch.setattr(compression, "class_sum", off_by_one)
     report = verify_all_classes(lam, 4)
     assert not report.ok and not report.classes[sigma.values].ok
     assert report.classes[sigma.values].contents_ok

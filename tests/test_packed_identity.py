@@ -27,8 +27,22 @@ from macdonald.compression import (
     group_fibers,
     verify_all_classes,
 )
-from macdonald.fillings import Filling, compressed_term
-from macdonald.qt import ContentAccumulator, rational_add, rational_zero, term_value
+from macdonald.fillings import (
+    Filling,
+    _filling_total,
+    _term_raw,
+    column_table,
+    compressed_term,
+    diagram_denominator,
+    shape_of,
+)
+from macdonald.qt import (
+    ContentAccumulator,
+    RationalQT,
+    rational_add,
+    rational_zero,
+    term_value,
+)
 from macdonald.ramyip import FoldingPair, chain_denominator, walk_window
 
 MAX_PAIRS = 3072      # folding pairs a shape may have, so each example is quick
@@ -203,13 +217,37 @@ def test_a_numerator_outside_the_window_raises(site, side):
         _sum_mapped_fiber(window, lambda num: {(a, b): c for c in num.values()})
 
 
-def test_identity_lifts_the_fiber_sum_by_the_factors_its_lcm_lacks():
+def test_identity_lifts_both_sides_to_the_window_factors():
     lam = Partition((3, 2, 1, 0))
     window = ClassWindow(build_chain(lam), 1)
-    one_minus_t, _weight = window.packing.pack({(0, 0): 1, (0, 1): -1})
-    lhs = FiberSum(one_minus_t, window.intern(Counter()), window)
-    assert (lhs.num, lhs.den) == ({(0, 0): 1, (0, 1): -1}, ())
-    # the bare term (1 - q t^2) * (1 - t) / (1 - q t^2) is 1 - t, over a
-    # factor that the fiber sum's empty lcm lacks
-    assert window.identity_holds(lhs, {(0, 0): 1, (1, 2): -1}, Counter({(1, 2): 1}))
-    assert not window.identity_holds(lhs, {(0, 0): 1}, Counter({(1, 2): 1}))
+    packing = window.packing
+
+    def lifted(num, den):
+        return packing.pack(num, window.lift(den))[0]
+
+    lhs = FiberSum(lifted({(0, 0): 1, (0, 1): -1}, Counter()), window)
+    assert lhs == RationalQT({(0, 0): 1, (0, 1): -1})
+    assert lhs.den == packing.factors
+    # the bare term (1 - q t^2) * (1 - t) / (1 - q t^2) is 1 - t; both sides
+    # are lifted to the window's factors, each by the factors its den lacks
+    assert lifted({(0, 0): 1, (1, 2): -1}, Counter({(1, 2): 1})) == lhs.packed
+    assert lifted({(0, 0): 1}, Counter({(1, 2): 1})) != lhs.packed
+
+
+@pytest.mark.parametrize("lam", SHAPES, ids=lambda lam: str(lam.parts))
+def test_window_factors_are_the_union_and_hold_every_denominator(lam):
+    chain = build_chain(lam)
+    chain_den = Counter(chain_denominator(chain))
+    diagram = Counter(diagram_denominator(shape_of(lam.parts)))
+    fibers = group_fibers(lam, lam.n)
+    window = ClassWindow(chain, max(map(len, fibers.values())))
+    factors = Counter(window.packing.factors)
+    assert factors == chain_den | diagram
+    table = column_table(lam.parts, lam.n, "paper")
+    for values, pairs in fibers.items():
+        _num, den_r, _content = _term_raw(table, _filling_total(table, values))
+        assert not den_r - diagram and not den_r - factors
+        for pair in pairs:
+            _num, den, _content = compression._walk_term_raw(
+                pair.w, sorted(pair.folds), chain)
+            assert not den - chain_den and not den - factors

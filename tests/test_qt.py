@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from macdonald.parallel import _merge_into
 from macdonald.qt import (
     ContentAccumulator,
     PackedWindow,
@@ -267,7 +268,8 @@ def test_accumulator_bare_terms_split_and_merged(terms, data):
         expected[content] = rational_add(
             expected.get(content, rational_zero()), RationalQT(num, den.elements())
         )
-    halves[0].merge(halves[1])
+    halves[1].flush()
+    _merge_into(halves[0], [halves[1].packed])
     out = halves[0].finalize()
     for content in set(out) | set(expected):
         assert out.get(content, rational_zero()) == expected.get(content, rational_zero())
@@ -280,16 +282,6 @@ def test_accumulator_rejects_term_outside_shared_denominator():
     acc.add((1, 0), {(0, 0): 1}, Counter([(1, 2)]))
     with pytest.raises(ValueError):
         acc.finalize()
-
-
-@pytest.mark.parametrize("other", [PackedWindow.bounded([(1, 1)], 0, 1, 1),
-                                   PackedWindow.bounded([(1, 1)], 0, 0, 1 << 20),
-                                   PackedWindow.bounded([(1, 2)], 0, 0, 1)])
-def test_accumulators_over_different_windows_do_not_merge(other):
-    # packed sums add digit by digit only inside one window
-    acc = ContentAccumulator(PackedWindow.bounded([(1, 1)], 0, 0, 1))
-    with pytest.raises(ValueError, match="different windows"):
-        acc.merge(ContentAccumulator(other))
 
 
 # Reference for the packed accumulator: plain dict convolution, independent
@@ -385,6 +377,23 @@ def test_packed_accumulator_matches_dict_reference(case, slack):
     assert got == want
     if any(content == CANCEL for content, _, _ in terms):
         assert got[CANCEL] == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(PACK_FACTORS), max_size=6), st.data())
+def test_packed_lift_equals_the_dict_lift(shared, data):
+    window = PackedWindow.bounded(shared, 0, 0, 1)
+    picks = data.draw(st.lists(st.booleans(), min_size=len(shared),
+                               max_size=len(shared)))
+    den = Counter(f for f, keep in zip(shared, picks) if keep)
+    reference = _reference_lift(shared, den)
+    packed = sum(c << window.bits * (a * window.span + b)
+                 for (a, b), c in reference.items())
+    assert window.lift(den) == packed
+    assert window.unpack(packed) == reference
+    extra = data.draw(st.sampled_from(PACK_FACTORS))
+    with pytest.raises(ValueError, match="not part of the shared denominator"):
+        window.lift(Counter(shared) + Counter([extra]))
 
 
 @pytest.mark.parametrize("bits", [8, 16, 32, 64, 128])

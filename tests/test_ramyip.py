@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from macdonald.chain import Partition, build_chain
 from macdonald.fillings import compressed_sum
+from macdonald.parallel import _merge_into
 from macdonald.qt import RationalQT, rational_one
 from macdonald.ramyip import (
     TermCapExceeded,
@@ -189,7 +190,7 @@ def test_walk_shard_split_and_merged_equals_unsplit():
     window = walk_window(chain)
     whole = walk_shard(chain, perms, window)
     split = walk_shard(chain, perms[:2], window)
-    split.merge(walk_shard(chain, perms[2:], window))
+    _merge_into(split, [walk_shard(chain, perms[2:], window).packed])
     assert split.packed == whole.packed
     assert split.finalize() == whole.finalize()
 
