@@ -26,8 +26,10 @@ Three layers:
     wraps into the next, and the digit width covers the term count times the
     lifts' growth, so no digit overflows.  Sums of packed ints, and products
     with a binomial (a shift and a subtraction), are therefore exactly the
-    dict arithmetic, done at C speed; each sum is unpacked once, to be
-    reduced.  ``PackedWindow.lift`` is the one lift to the shared
+    dict arithmetic, done at C speed.  Each distinct sum is unpacked and
+    reduced once: the contents of one S_n orbit end with equal sums, since
+    P_lambda is symmetric, and share one reduced coefficient object.
+    ``PackedWindow.lift`` is the one lift to the shared
     denominator: the accumulator and the per-class check in
     ``compression`` both lift through it.
 
@@ -42,7 +44,7 @@ reduced RationalQT; ``ContentAccumulator`` sums many of them, lifting each
 (D, content) class to the common denominator once rather than once per term.
 
 All values are treated as immutable; every operation returns fresh objects,
-so they are safe to share across worker processes.
+so they are safe to share across worker processes and between contents.
 """
 
 from __future__ import annotations
@@ -171,7 +173,9 @@ class RationalQT:
     Zero is represented with an empty denominator.  Equality is semantic:
     cross-multiplication of numerators against the multiset difference of the
     denominators, so two reduced values built along different routes compare
-    equal exactly when they are the same rational function.
+    equal exactly when they are the same rational function.  An object is
+    equal to itself without that work, as the contents of one orbit share
+    one coefficient object.
     """
 
     __slots__ = ("num", "den")
@@ -188,6 +192,8 @@ class RationalQT:
         return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, RationalQT):
             return NotImplemented
         mine, theirs = Counter(self.den), Counter(other.den)
@@ -359,30 +365,37 @@ def symfun_add_term(P: SymFun, content: Content, coef: RationalQT) -> SymFun:
 
 
 def symfun_str(P: SymFun) -> str:
+    """P as text; each distinct coefficient object is formatted once."""
     if not P:
         return "0"
+    shown: dict[int, str] = {}      # id of a coefficient of P -> its text
     terms = []
     for content in sorted(P, reverse=True):
         coef = P[content]
+        cs = shown.get(id(coef))
+        if cs is None:
+            cs = shown[id(coef)] = _coefficient_str(coef)
         xpart = f"x[{','.join(map(str, content))}]"
-        if coef.den:
-            cs = rational_str(coef)
-        elif coef.num == l_one():
-            cs = ""
-        elif len(coef.num) == 1:
-            ((a, b),) = coef.num
-            c = coef.num[(a, b)]
-            cs = laurent_str(coef.num) if c > 0 else f"({laurent_str(coef.num)})"
-        else:
-            cs = f"({laurent_str(coef.num)})"
         terms.append(f"{cs}*{xpart}" if cs else xpart)
     return " + ".join(terms)
 
 
-def monomial_json_obj(content: Content, coef: RationalQT) -> dict:
-    """One entry of the ``monomials`` list of a ``compute --out json`` document."""
+def _coefficient_str(coef: RationalQT) -> str:
+    """A coefficient as it prefixes ``*x[...]``; empty for 1."""
+    if coef.den:
+        return rational_str(coef)
+    if coef.num == l_one():
+        return ""
+    if len(coef.num) == 1:
+        ((a, b),) = coef.num
+        if coef.num[(a, b)] > 0:
+            return laurent_str(coef.num)
+    return f"({laurent_str(coef.num)})"
+
+
+def coefficient_json_obj(coef: RationalQT) -> dict:
+    """``num`` and ``den`` of one ``monomials`` entry of ``compute --out json``."""
     return {
-        "exp": list(content),
         "num": [[a, b, coef.num[(a, b)]] for (a, b) in sorted(coef.num)],
         "den": [[a, b] for (a, b) in coef.den],
     }
@@ -546,8 +559,10 @@ class ContentAccumulator:
     arithmetic.  Each flush checks every numerator monomial against the
     window, and the running weight of the flushed coefficients against its
     budget, so a digit never wraps unnoticed.  Sums stay packed until
-    ``finalize`` unpacks each content once and reduces it; they are the same
-    integers whatever the term order, flush points or sharding.
+    ``finalize``; they are the same integers whatever the term order, flush
+    points or sharding.  ``finalize`` unpacks and reduces each distinct sum
+    once, and the contents that carry it (an orbit, for a symmetric
+    expansion) share the one reduced object.
     """
 
     def __init__(self, window: PackedWindow):
@@ -595,19 +610,29 @@ class ContentAccumulator:
         self.packed[content] = self.packed.get(content, 0) + value
 
     def finalize(self) -> SymFun:
-        """Unpack and reduce each content's sum; this empties the accumulator.
+        """Unpack and reduce each distinct sum once; this empties the accumulator.
 
-        Each packed sum is dropped as soon as it is reduced, so the lifted and
-        the reduced forms of the whole expansion are never held at once.
+        ``P_lambda`` is symmetric, so all contents of one S_n orbit carry the
+        same lifted sum.  A memo that lives for this call maps each packed
+        value to its reduced ``RationalQT``, and contents whose sums are equal
+        share that one (immutable) object.  The result is the per-content
+        reduction all the same: ``unpack`` is a function of the int and
+        ``rational_reduce`` of its input.  Symmetry only decides how often the
+        memo hits; an asymmetric sum misses it and is reduced on its own.
+        Each packed sum is popped as it is consumed, so beside the reduced
+        expansion only the distinct lifted sums are held.
         """
         self.flush()
         out: SymFun = {}
         packed, window = self.packed, self.window
+        reduced: dict[int, RationalQT] = {}
         for content in sorted(packed):
             value = packed.pop(content)
             if not value:
                 continue
-            coef = rational_reduce(RationalQT(window.unpack(value), window.factors))
-            if coef:
-                out[content] = coef
+            coef = reduced.get(value)
+            if coef is None:
+                coef = reduced[value] = rational_reduce(
+                    RationalQT(window.unpack(value), window.factors))
+            out[content] = coef
         return out

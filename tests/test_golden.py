@@ -6,7 +6,9 @@ single reduction in ``finalize``.  The hashes were recorded with the earlier
 dict-based accumulator, so any change to lifting, reduction or rendering
 that alters a byte shows here.  The ram-yip JSON of the benchmark's two walk
 shapes, (5,3,1,0) and (5,4,2,0), was recorded at commit 0351681, before walk
-terms were built from fold plans.
+terms were built from fold plans.  The compressed output of the fill shape
+(5,4,2,1,0) was recorded at commit b93be5d, before ``finalize`` reduced and
+the emitter rendered each distinct coefficient once.
 """
 
 import contextlib
@@ -79,6 +81,9 @@ GOLDEN = {
     ((5, 4, 2, 0), "ram-yip", "json"): "a14890c0c31643a24c11c34692bce2926f5b8534bacf18fb334daef8e2fe01bc",
     ((4, 3, 2, 1, 0), "compressed", "json"): "aafaac15f1ced0a1cfa9d2024f62eb96454b4590fdd95d8bac58f35203275c8a",
     ((4, 3, 2, 1, 0), "compressed", "text"): "a335cd1812bbd54e3c5d48040b5dffdfc48d9fc3f942c02032e9870bdf7cf042",
+    # the shape of the benchmark's fill workload; the JSON is ref/fill-5_4_2_1_0
+    ((5, 4, 2, 1, 0), "compressed", "json"): "e75d697b21f635ed0e214cd1379643cd9309d23af1931a4c3be2a44d6f37b652",
+    ((5, 4, 2, 1, 0), "compressed", "text"): "06316701a3723a0b75398e56a9ba62c888c8a877999d914bb227a1dc4144f64b",
 }
 
 

@@ -191,3 +191,17 @@ def test_mutation_of_whole_orbit_caught_by_oracle():
     P[(0, 2)] = rational_add(P[(0, 2)], rational_one())
     report = check_specializations(P, lam, 2, seed=7)
     assert not report.ok
+
+
+def test_mutation_of_one_shared_orbit_member_is_caught():
+    # finalize gives every member of an orbit one shared coefficient object;
+    # a new, changed object at a member that is neither the dominant one nor
+    # the first listed must still break symmetry
+    lam = Partition((3, 2, 1, 0))
+    P = dict(compressed_sum(lam, 4))
+    assert P[(1, 2, 2, 1)] is P[(2, 2, 1, 1)] is P[(1, 1, 2, 2)]
+    P[(1, 2, 2, 1)] = rational_add(P[(1, 2, 2, 1)], rational_one())
+    report = check_specializations(P, lam, 4, seed=0)
+    symmetry = next(c for c in report.checks if c.name == "symmetry")
+    assert not symmetry.ok
+    assert symmetry.detail == "coefficients differ inside orbit of (2, 2, 1, 1)"

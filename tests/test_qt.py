@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import macdonald.qt as qt
+from macdonald.cli import main
 from macdonald.parallel import _merge_into
 from macdonald.qt import (
     ContentAccumulator,
@@ -273,6 +275,88 @@ def test_accumulator_bare_terms_split_and_merged(terms, data):
     out = halves[0].finalize()
     for content in set(out) | set(expected):
         assert out.get(content, rational_zero()) == expected.get(content, rational_zero())
+
+
+# contents of one degree-2 orbit pair; terms drawn per multiset, shared by index
+SHARE_CONTENTS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+bare_term = st.tuples(
+    st.tuples(st.integers(0, 5), st.integers(-2, 3)),               # q^a t^b
+    st.lists(st.booleans(), min_size=len(ACC_DEN), max_size=len(ACC_DEN)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(bare_term, max_size=5), min_size=1, max_size=4),
+       st.data())
+def test_finalize_equals_reducing_each_content(multisets, data):
+    # contents drawn onto the same multiset get equal sums, so the memo hits
+    picks = data.draw(st.lists(st.integers(0, len(multisets) - 1),
+                               min_size=len(SHARE_CONTENTS),
+                               max_size=len(SHARE_CONTENTS)))
+    acc = ContentAccumulator(ACC_WINDOW)
+    for content, pick in zip(SHARE_CONTENTS, picks):
+        for (a, b), keep in multisets[pick]:
+            acc.add(content, {(a, b): 1},
+                    Counter(f for f, k in zip(ACC_DEN, keep) if k))
+    acc.flush()
+    packed = dict(acc.packed)
+    out = acc.finalize()
+    want = {c: rational_reduce(RationalQT(ACC_WINDOW.unpack(v), ACC_WINDOW.factors))
+            for c, v in packed.items() if v}
+    assert ({c: rational_str(x) for c, x in out.items()}
+            == {c: rational_str(x) for c, x in want.items()})
+    for c1, p1 in zip(SHARE_CONTENTS, picks):
+        for c2, p2 in zip(SHARE_CONTENTS, picks):
+            if p1 == p2 and c1 in out:
+                assert out[c1] is out[c2]
+
+
+def _compute_counting_reductions(monkeypatch, capsys, parts, formula):
+    """``compute --jobs 1`` in-process: reductions done, packed sums, result."""
+    reductions = []
+    real_reduce, real_finalize = qt.rational_reduce, ContentAccumulator.finalize
+
+    def counting_reduce(f):
+        reductions.append(f)
+        return real_reduce(f)
+
+    seen = {}
+
+    def finalize(self):
+        self.flush()
+        seen["packed"] = dict(self.packed)
+        seen["P"] = real_finalize(self)
+        return seen["P"]
+
+    monkeypatch.setattr(qt, "rational_reduce", counting_reduce)
+    monkeypatch.setattr(ContentAccumulator, "finalize", finalize)
+    assert main(["compute", "--lambda", ",".join(map(str, parts)),
+                 "--formula", formula, "--jobs", "1"]) == 0
+    capsys.readouterr()
+    return len(reductions), seen["packed"], seen["P"]
+
+
+@pytest.mark.parametrize("parts,formula,distinct", [
+    ((4, 3, 2, 1, 0), "compressed", 6),
+    ((5, 3, 1, 0), "ram-yip", 9),
+])
+def test_finalize_reduces_each_distinct_sum_once(monkeypatch, capsys, parts,
+                                                 formula, distinct):
+    reductions, packed, P = _compute_counting_reductions(
+        monkeypatch, capsys, parts, formula)
+    assert reductions == distinct
+    assert len({v for v in packed.values() if v}) == distinct
+    assert set(P) == {c for c, v in packed.items() if v}
+    first = {}
+    for content in sorted(P):
+        assert P[content] is first.setdefault(packed[content], P[content])
+
+
+def test_rational_eq_holds_for_one_shared_object():
+    for x in (rational_zero(), RationalQT({(1, 0): 2, (0, 1): -1}, [(1, 1)])):
+        assert x == x
+        assert not x != x
+    assert RationalQT({(0, 0): 1}, [(1, 1)]) != RationalQT({(0, 0): 2}, [(1, 1)])
 
 
 def test_accumulator_rejects_term_outside_shared_denominator():
