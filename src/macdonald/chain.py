@@ -126,15 +126,13 @@ class LambdaChain:
         return iter(self.entries)
 
 
-def build_chain(partition: Partition, n: int | None = None) -> LambdaChain:
+def build_chain(partition: Partition) -> LambdaChain:
     """Concatenate the column factors for columns lambda_1 down to 2.
 
     A column factor is trimmed exactly when its column is the leftmost one of
     its conjugate height.  Multiplicities are counted and then checked against
     the arm-length closed form.
     """
-    if n is not None and n != partition.n:
-        raise ValueError(f"n={n} does not match partition {partition.parts}")
     n = partition.n
     conj = partition.conjugate
     entries: list[ChainEntry] = []

@@ -291,50 +291,42 @@ def cmd_verify(args) -> int:
         for name, ok, detail in _map_property_checks(lam, n):
             add(name, ok, detail)
     if not requested and P is not None:
-        add(*_input_check(P, _compute(lam, n, args.formula, args.jobs),
-                          args.formula))
+        want = _compute(lam, n, args.formula, args.jobs)
+        difference = _first_difference(P, "input", want, args.formula)
+        add("input-matches", difference is None, difference
+            or f"{len(want)} monomials equal the {args.formula} expansion")
     elif not requested:
         ry = ram_yip_sum(lam, n, jobs=args.jobs)
-        cp = compressed_sum(lam, n, jobs=args.jobs)
-        agree = _same_expansion(ry, cp)
-        add("formulas-agree", agree,
-            f"{len(ry)} monomials" if agree else "expansions differ")
+        difference = _first_difference(ry, "ram-yip",
+                                       compressed_sum(lam, n, jobs=args.jobs),
+                                       "compressed")
+        add("formulas-agree", difference is None,
+            difference or f"{len(ry)} monomials")
 
     print(json.dumps(report, separators=JSON_SEPARATORS))
     return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
 
 
-def _same_expansion(a: SymFun, b: SymFun) -> bool:
-    """``a == b``, comparing each distinct pair of coefficient objects once.
+def _first_difference(a: SymFun, a_name: str, b: SymFun, b_name: str) -> str | None:
+    """The largest content where a and b differ, as text; None if they agree.
 
-    Each expansion shares one object per orbit (``finalize``), so a pair
-    that matched at one content matches at the rest of its orbit.
+    Coefficients compare as RationalQT values, a missing content as zero.
+    Each distinct pair of coefficient objects is compared once: an expansion
+    shares one object per orbit (``finalize``), so a pair that matched at
+    one content matches at the rest of its orbit.
     """
-    if a.keys() != b.keys():
-        return False
-    matched: set[tuple[int, int]] = set()
-    for content, coef in a.items():
-        other = b[content]
-        pair = (id(coef), id(other))
-        if pair not in matched:
-            if not coef == other:
-                return False
-            matched.add(pair)
-    return True
-
-
-def _input_check(P: SymFun, want: SymFun, formula: str) -> tuple[str, bool, str]:
-    """Compare an input expansion with the computed one, as RationalQT values."""
     zero = rational_zero()
-    for content in sorted(set(P) | set(want), reverse=True):
-        got, expected = P.get(content, zero), want.get(content, zero)
-        if not got == expected:
-            return (
-                "input-matches", False,
-                f"first difference at x[{','.join(map(str, content))}]: input "
-                f"{rational_str(got)}, {formula} {rational_str(expected)}",
-            )
-    return "input-matches", True, f"{len(want)} monomials equal the {formula} expansion"
+    matched: set[tuple[int, int]] = set()
+    for content in sorted(set(a) | set(b), reverse=True):
+        x, y = a.get(content, zero), b.get(content, zero)
+        pair = (id(x), id(y))
+        if pair in matched:
+            continue
+        if not x == y:
+            return (f"first difference at x[{','.join(map(str, content))}]: "
+                    f"{a_name} {rational_str(x)}, {b_name} {rational_str(y)}")
+        matched.add(pair)
+    return None
 
 
 def _check_map_properties_cap(lam: Partition) -> None:
@@ -378,11 +370,11 @@ def _map_pair_check(w, folds: list[int], chain, lam: Partition) -> tuple[bool, b
     to the folded weight; with odd parity the content is not checked.
     """
     from .compression import filling_map
-    from .ramyip import _walk_term_raw, folded_weight
+    from .ramyip import _fold_data, _walk_term_raw, folded_weight
     from .weyl import permute_weight
 
     try:
-        _, _, content = _walk_term_raw(w, folds, chain)
+        _, _, content = _walk_term_raw(w, _fold_data(folds, chain))
     except InternalInvariantError:
         return False, True
     sigma = filling_map(w, folds, lam)

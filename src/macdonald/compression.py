@@ -49,17 +49,10 @@ from .fillings import (
     filling_t_range,
     shape_of,
 )
-from .qt import (
-    DenomFactor,
-    Laurent,
-    PackedWindow,
-    RationalQT,
-    rational_reduce,
-    rational_str,
-)
+from .qt import PackedWindow, RationalQT, rational_reduce, rational_str
 from .ramyip import (
     FoldingPair,
-    WalkMemo,
+    FoldPlan,
     _fold_data,
     _walk_term_raw,
     chain_denominator,
@@ -175,44 +168,6 @@ def fiber_witness(sigma: Filling, lam: Partition) -> FoldingPair:
     return FoldingPair(w, frozenset(fold_list))
 
 
-class FiberSum:
-    """A fiber's walk terms summed over the window's factors.
-
-    The numerator is one packed integer of a ``ClassWindow``; ``value``
-    unpacks it, on first use, into the unreduced ``RationalQT`` over the
-    window's factors, and ``num``, ``den`` and ``==`` read that value.
-    """
-
-    __slots__ = ("packed", "window", "_value")
-
-    def __init__(self, packed: int, window: "ClassWindow"):
-        self.packed = packed
-        self.window = window
-        self._value: RationalQT | None = None
-
-    @property
-    def value(self) -> RationalQT:
-        if self._value is None:
-            packing = self.window.packing
-            self._value = RationalQT(packing.unpack(self.packed), packing.factors)
-        return self._value
-
-    @property
-    def num(self) -> Laurent:
-        return self.value.num
-
-    @property
-    def den(self) -> tuple[DenomFactor, ...]:
-        return self.value.den
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FiberSum):
-            other = other.value
-        return self.value == other
-
-    __hash__ = None  # type: ignore[assignment]
-
-
 class ClassWindow:
     """The packed window and the memos shared by the fibers of one check.
 
@@ -237,9 +192,10 @@ class ClassWindow:
     its budget, raises ``InternalInvariantError``: no packed comparison ever
     reads a wrapped digit.
 
-    The memos live as long as the window: each fold set's fold list, fold
-    plan (``ramyip._fold_data``) and lift, each lift by multiset, and the
-    walk terms' lengths and weight readers (``ramyip.WalkMemo``).
+    The memos serve one run of ``verify_all_classes``, which clears them
+    at its end: each fold set's fold plan (``ramyip._fold_data``, which
+    carries the ``perm_tables`` its walk terms read) and lift, and each lift
+    by multiset.  A lazy ``ClassResult.lhs`` refills what it reads.
     """
 
     def __init__(self, chain: LambdaChain, max_fiber: int):
@@ -250,18 +206,15 @@ class ClassWindow:
         (w_lo, w_hi), (f_lo, f_hi) = walk_t_range(chain), filling_t_range(shape)
         self.packing = PackedWindow.bounded(
             union.elements(), min(w_lo, f_lo), max(w_hi, f_hi), max_fiber)
-        self.memo = WalkMemo()
         self._folds: dict[frozenset[int], tuple] = {}
         self._lifts: dict[frozenset, int] = {}
 
-    def fold_set(self, folds: frozenset[int]) -> tuple:
-        """(fold list, fold plan, lift) of a fold set."""
+    def fold_set(self, folds: frozenset[int]) -> tuple[FoldPlan, int]:
+        """(fold plan, lift) of a fold set."""
         entry = self._folds.get(folds)
         if entry is None:
-            fold_list = sorted(folds)
-            fold_data = _fold_data(fold_list, self.chain)
-            entry = self._folds[folds] = (fold_list, fold_data,
-                                          self.lift(fold_data.den))
+            plan = _fold_data(sorted(folds), self.chain)
+            entry = self._folds[folds] = (plan, self.lift(plan.den))
         return entry
 
     def lift(self, den: Counter) -> int:
@@ -278,21 +231,22 @@ class ClassResult:
     """Per-fiber verification data for one nonattacking filling.
 
     ``lhs`` (the fiber sum over the window's factors, unreduced) and ``rhs`` (the
-    filling's reduced term) are built on first use; a failing class keeps
-    the ``lhs`` its check computed.
+    filling's reduced term) are built on first use, ``lhs`` through the
+    run's window; a failing class keeps the ``lhs`` its check computed.
     """
 
     pairs: list[FoldingPair]
     ok: bool
     contents_ok: bool
     sigma: Filling
+    window: ClassWindow
     _lhs: RationalQT | None = None
 
     @property
     def lhs(self) -> RationalQT:
         if self._lhs is None:
-            chain = cached_chain(self.sigma.parts)
-            self._lhs = class_sum(self.pairs, chain, self.sigma.content())[0].value
+            total, _ = class_sum(self.pairs, self.sigma.content(), self.window)
+            self._lhs = self.window.packing.rational(total)
         return self._lhs
 
     @property
@@ -350,31 +304,24 @@ def group_fibers(lam: Partition, n: int
     return out
 
 
-def class_sum(pairs: list[FoldingPair], chain: LambdaChain,
-              expected_content: tuple[int, ...],
-              window: ClassWindow | None = None,
-              ) -> tuple[FiberSum, bool]:
+def class_sum(pairs: list[FoldingPair], expected_content: tuple[int, ...],
+              window: ClassWindow) -> tuple[int, bool]:
     """Sum of walk coefficients over a fiber, plus a content-match flag.
 
     Every walk term of the fiber is built and its content checked; the terms
     of the expected content are summed over the window's factors, each bare
     term lifted by its fold set's lift (``ClassWindow``).  The sum is one
-    packed integer of ``window``: each term adds its lift shifted to its
-    monomial.  A fold set's fold plan (``ramyip._fold_data``) and lift are
-    memoised by the window, as are its walk terms' lengths and weight
-    readers.  ``verify_all_classes`` passes one window for all of its
-    fibers; without one, a window is made for this fiber alone.
+    packed integer of ``window.packing``: each term adds its lift shifted to
+    its monomial.  A fold set's fold plan (``ramyip._fold_data``) and lift
+    are memoised by the window, which ``verify_all_classes`` shares among
+    all of its fibers.
     """
-    if window is None:
-        window = ClassWindow(chain, len(pairs))
     packing = window.packing
-    memo = window.memo
     total = weight = 0
     contents_ok = True
     for pair in pairs:
-        fold_list, fold_data, lift = window.fold_set(pair.folds)
-        num, _den, content = _walk_term_raw(pair.w, fold_list, chain, None,
-                                            fold_data, memo)
+        plan, lift = window.fold_set(pair.folds)
+        num, _den, content = _walk_term_raw(pair.w, plan)
         if content != expected_content:
             contents_ok = False
             continue
@@ -382,7 +329,7 @@ def class_sum(pairs: list[FoldingPair], chain: LambdaChain,
         total += value
         weight += num_weight
     packing.check_weight(weight)
-    return FiberSum(total, window), contents_ok
+    return total, contents_ok
 
 
 def _check_class(sigma: Filling, pairs: list[FoldingPair],
@@ -398,12 +345,13 @@ def _check_class(sigma: Filling, pairs: list[FoldingPair],
         raise InternalInvariantError(
             f"filling denominator {sorted(den_r.elements())} is not "
             f"part of the diagram denominator")
-    lhs, contents_ok = class_sum(pairs, window.chain, content, window)
+    lhs, contents_ok = class_sum(pairs, content, window)
     packing = window.packing
     rhs, weight = packing.pack(num_r, window.lift(den_r))
     packing.check_weight(weight)
-    ok = contents_ok and lhs.packed == rhs
-    return ClassResult(pairs, ok, contents_ok, sigma, None if ok else lhs.value)
+    ok = contents_ok and lhs == rhs
+    return ClassResult(pairs, ok, contents_ok, sigma, window,
+                       None if ok else packing.rational(lhs))
 
 
 def verify_all_classes(lam: Partition, n: int) -> ClassReport:
@@ -437,6 +385,10 @@ def verify_all_classes(lam: Partition, n: int) -> ClassReport:
             if first_failure is None:
                 first_failure = render_counterexample(
                     sigma, pairs, result.lhs, result.rhs, chain)
+    # the packed lifts take about 1 MB on (5,2,1,0); a lazy ``lhs`` rebuilds
+    # the few it reads, so the memos end with the run
+    window._folds.clear()
+    window._lifts.clear()
     stray = set(fibers) - seen
     if stray:
         ok = False

@@ -220,7 +220,7 @@ def filling_stats(sigma: Filling) -> FillingStats:
     )
 
 
-def check_filling_cap(lam: Partition, n: int, cap: int | None = None) -> int:
+def check_filling_cap(lam: Partition, n: int) -> int:
     """Bound the fillings before any work starts; raise past the term cap.
 
     Under either attack convention the cells of a column attack each other,
@@ -228,7 +228,7 @@ def check_filling_cap(lam: Partition, n: int, cap: int | None = None) -> int:
     prod_j n!/(n - lambda'_j)! of them.  Returns that bound; stops
     multiplying as soon as it passes the cap.
     """
-    cap = term_cap() if cap is None else cap
+    cap = term_cap()
     total = 1
     for height in lam.conjugate:
         total *= math.perm(n, height)

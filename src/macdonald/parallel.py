@@ -81,11 +81,10 @@ def _ry_worker(args) -> dict[Content, int]:
     return walk_shard(build_chain(Partition(parts)), perms, window).packed
 
 
-def parallel_ram_yip_sum(lam: Partition, n: int, jobs: int,
-                         cap: int | None = None) -> SymFun:
+def parallel_ram_yip_sum(lam: Partition, n: int, jobs: int) -> SymFun:
     """The walk sum over the permutations, split into up to jobs shards."""
     chain = build_chain(lam)
-    check_term_cap(chain, cap)
+    check_term_cap(chain)
     window = walk_window(chain)
     return _sum_shards(window, _ry_worker, [(lam.parts, s, window)
                                             for s in _chunks(all_perms(n), jobs)])

@@ -71,12 +71,6 @@ def l_one() -> Laurent:
     return {(0, 0): 1}
 
 
-def binomial_factor(a: int, b: int) -> Laurent:
-    """The Laurent polynomial 1 - q^a t^b."""
-    _check_factor((a, b))
-    return {(0, 0): 1, (a, b): -1}
-
-
 def _check_factor(f: DenomFactor) -> None:
     a, b = f
     if a < 0 or b < 0 or (a, b) == (0, 0):
@@ -117,12 +111,6 @@ def l_mul(f: Laurent, g: Laurent) -> Laurent:
     out: Laurent = {}
     _add_product_into(out, f, g)
     return out
-
-
-def l_mul_monomial(f: Laurent, a: int, b: int, coef: int = 1) -> Laurent:
-    if not coef:
-        return {}
-    return {(x + a, y + b): c * coef for (x, y), c in f.items()}
 
 
 def l_eval(f: Laurent, q0: Fraction, t0: Fraction) -> Fraction:
@@ -477,7 +465,7 @@ class PackedWindow(NamedTuple):
         return cls(factors, t_lo, t_hi, t_hi + lift_tdeg - t_lo + 1, bits,
                    1 << (bits - 1 - len(factors)))
 
-    def pack(self, num: Laurent, lift: int = 1) -> tuple[int, int]:
+    def pack(self, num: Laurent, lift: int) -> tuple[int, int]:
         """``num * lift`` packed, and the weight of ``num``.
 
         ``lift`` is a packed lift (see ``lift``); each monomial of
@@ -520,6 +508,10 @@ class PackedWindow(NamedTuple):
         t_lo, span = self.t_lo, self.span
         return {(i // span, t_lo + i % span): c
                 for i, c in _unpack_digits(value, self.bits)}
+
+    def rational(self, value: int) -> RationalQT:
+        """A packed numerator over the shared factors, unreduced."""
+        return RationalQT(self.unpack(value), self.factors)
 
     def check_monomial(self, a: int, b: int) -> None:
         if a < 0 or not self.t_lo <= b <= self.t_hi:
@@ -632,7 +624,6 @@ class ContentAccumulator:
                 continue
             coef = reduced.get(value)
             if coef is None:
-                coef = reduced[value] = rational_reduce(
-                    RationalQT(window.unpack(value), window.factors))
+                coef = reduced[value] = rational_reduce(window.rational(value))
             out[content] = coef
         return out

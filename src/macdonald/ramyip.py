@@ -24,6 +24,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -72,9 +73,9 @@ def folding_pairs_text(chain: LambdaChain) -> str:
     return str(total) if total.bit_length() <= 1024 else f"2^{chain.m} * {n}!"
 
 
-def check_term_cap(chain: LambdaChain, cap: int | None = None) -> int:
+def check_term_cap(chain: LambdaChain) -> int:
     total = folding_pair_count(chain)
-    cap = term_cap() if cap is None else cap
+    cap = term_cap()
     if total > cap:
         raise TermCapExceeded(
             f"{folding_pairs_text(chain)} folding pairs exceed the term cap {cap}")
@@ -136,7 +137,9 @@ class FoldPlan(NamedTuple):
     k, and the fold is negative (an ascent, weighted q^l t^h) exactly when
     ``w[a] < w[b]``.  ``steps`` holds ``a, b, l, h`` for each fold in order,
     as one flat tuple (one tuple per fold would cost an object per fold held),
-    and ``final`` reads w*phi off w.
+    and ``final`` reads w*phi off w.  The part of a term that depends on w
+    alone is read from ``perm_tables(n)``, which ``lengths`` and ``readers``
+    hold.
     """
 
     mu: Weight                  # lambda reflected at the folded positions
@@ -144,17 +147,21 @@ class FoldPlan(NamedTuple):
     steps: tuple[int, ...]      # a, b, mult, height per fold, 0-based positions
     final: itemgetter           # w -> w*phi
     k: int                      # the number of folds
+    folds: tuple[int, ...]      # the folded positions, increasing
+    lengths: dict[Perm, int]    # perm_tables(n)
+    readers: dict[Perm, itemgetter]
 
 
 def _fold_data(fold_list: list[int], chain: LambdaChain) -> FoldPlan:
-    """The fold plan of a fold list: every part of a walk term but w.
+    """The fold plan of an increasing fold list: every part of a walk term but w.
 
     ``pos`` starts as the identity and takes each fold's swap, so the
     running permutation is ``w`` read at ``pos``; a partition has n >= 2
     parts, so ``final`` returns a tuple.
     """
     entries = [chain.entries[p - 1] for p in fold_list]
-    pos = list(range(chain.partition.n))
+    n = chain.partition.n
+    pos = list(range(n))
     steps: list[int] = []
     for entry in entries:
         i, k = entry.root
@@ -163,7 +170,8 @@ def _fold_data(fold_list: list[int], chain: LambdaChain) -> FoldPlan:
         pos[i - 1], pos[k - 1] = b, a
     den = Counter([(e.mult, e.height) for e in entries])
     return FoldPlan(folded_weight(fold_list, chain), den, tuple(steps),
-                    itemgetter(*pos), len(entries))
+                    itemgetter(*pos), len(entries), tuple(fold_list),
+                    *perm_tables(n))
 
 
 class _Memo(dict):
@@ -188,43 +196,29 @@ def _weight_reader(w: Perm) -> itemgetter:
     return itemgetter(*inverse)
 
 
-class WalkMemo:
-    """Per-permutation values that the walk terms of one loop share.
+@lru_cache(maxsize=None)
+def perm_tables(n: int) -> tuple[dict[Perm, int], dict[Perm, itemgetter]]:
+    """The length and the weight reader (``_weight_reader``) of each w in S_n.
 
-    ``lengths`` maps a permutation to its length and ``readers`` maps w to
-    the reader of w's action on weights (``_weight_reader``), both filled on
-    first use.  A memo belongs to the loop that makes it (one ``walk_shard``
-    call, or one ``ClassWindow``) and dies with it; none is kept at module
-    level, so no later call starts warm.  Contents are read afresh rather
+    Both dicts fill a permutation's entry on first use, so a caller that
+    reads a few permutations of a large S_n (``verify --map-properties``
+    samples them) pays for those alone.  Like ``chain.cached_chain``, the
+    tables live at module level, shared by every walk over S_n, until the
+    cache is cleared.  Contents are read afresh rather
     than memoised per (w, mu): holding one tuple per (w, mu) raised the peak
     resident size of ``verify --per-class`` on (5,2,1,0) by about 0.7 MB.
     """
-
-    __slots__ = ("lengths", "readers")
-
-    def __init__(self):
-        self.lengths: dict[Perm, int] = _Memo(perm_length)
-        self.readers: dict[Perm, itemgetter] = _Memo(_weight_reader)
+    return _Memo(perm_length), _Memo(_weight_reader)
 
 
-def _walk_term_raw(w: Perm, fold_list: list[int], chain: LambdaChain,
-                   w_length: int | None = None,
-                   fold_data: FoldPlan | None = None,
-                   memo: WalkMemo | None = None):
+def _walk_term_raw(w: Perm, plan: FoldPlan):
     """Bare numerator, denominator multiset, and content of one walk term.
 
     The numerator is the monomial q^a t^b alone; the term's value is
-    num * (1-t)^|den| / prod(den) (see ``qt.term_value``).  ``fold_data``
-    is ``_fold_data(fold_list, chain)``, passed in when many permutations
-    share one fold set; the returned multiset is then that plan's shared
-    Counter.  ``memo`` holds lengths and weight readers across the calls of
-    one loop; without one, a fresh memo serves this call alone.
+    num * (1-t)^|den| / prod(den) (see ``qt.term_value``).  The multiset is
+    the plan's own Counter, shared by every term of its fold set.
     """
-    mu, den, steps, final, k = (_fold_data(fold_list, chain)
-                                if fold_data is None else fold_data)
-    if memo is None:
-        memo = WalkMemo()
-    lengths = memo.lengths
+    mu, den, steps, final, k, folds, lengths, readers = plan
     qexp = 0
     textra = 0
     it = iter(steps)
@@ -232,18 +226,16 @@ def _walk_term_raw(w: Perm, fold_list: list[int], chain: LambdaChain,
         if w[a] < w[b]:
             qexp += mult
             textra += height
-    lw = lengths[w] if w_length is None else w_length
-    parity_num = lw - lengths[final(w)] - k
+    parity_num = lengths[w] - lengths[final(w)] - k
     if parity_num % 2:
         raise InternalInvariantError(
-            f"odd t-exponent numerator {parity_num} for w={w}, folds={fold_list}"
-        )
-    return {(qexp, parity_num // 2 + textra): 1}, den, memo.readers[w](mu)
+            f"odd t-exponent numerator {parity_num} for w={w}, folds={list(folds)}")
+    return {(qexp, parity_num // 2 + textra): 1}, den, readers[w](mu)
 
 
 def walk_term(w: Perm, folds, chain: LambdaChain) -> tuple[RationalQT, Content]:
     """Coefficient and monomial exponent of a single folding pair."""
-    num, den, content = _walk_term_raw(w, sorted(folds), chain)
+    num, den, content = _walk_term_raw(w, _fold_data(sorted(folds), chain))
     return term_value(num, den), content
 
 
@@ -284,8 +276,8 @@ def walk_shard(chain: LambdaChain, perms: list[Perm],
     The sums are packed in ``window``, the caller's ``walk_window(chain)``,
     so shards of one computation add as integers.  Everything a term needs
     from its fold set is compiled once per fold set into a ``FoldPlan``
-    (``_fold_data``), and the lengths and weight readers that terms share are
-    memoised for this call (``WalkMemo``).  Fold sets with equal multisets are
+    (``_fold_data``); the lengths and weight readers of the permutations come
+    with it, from ``perm_tables``.  Fold sets with equal multisets are
     walked together, over every permutation, and the accumulator is flushed
     after each such batch: it holds one pending group at a time and lifts it
     once per content.
@@ -297,22 +289,17 @@ def walk_shard(chain: LambdaChain, perms: list[Perm],
     for mask in range(1 << chain.m):
         den = sorted(factors[p - 1] for p in positions if mask >> (p - 1) & 1)
         batches.setdefault(tuple(den), []).append(mask)
-    memo = WalkMemo()
-    lengths = [(w, memo.lengths[w]) for w in perms]
     for masks in batches.values():
         for mask in masks:
-            fold_list = [p for p in positions if mask >> (p - 1) & 1]
-            plan = _fold_data(fold_list, chain)
-            for w, lw in lengths:
-                num, den, content = _walk_term_raw(w, fold_list, chain, lw,
-                                                   plan, memo)
+            plan = _fold_data([p for p in positions if mask >> (p - 1) & 1], chain)
+            for w in perms:
+                num, den, content = _walk_term_raw(w, plan)
                 acc.add(content, num, den)
         acc.flush()
     return acc
 
 
-def ram_yip_sum(lam: Partition, n: int, jobs: int = 1,
-                cap: int | None = None) -> SymFun:
+def ram_yip_sum(lam: Partition, n: int, jobs: int = 1) -> SymFun:
     """Macdonald P_lambda via the alcove-walk formula over all folding pairs.
 
     The permutations are split into up to ``jobs`` shards; one shard runs in
@@ -322,4 +309,4 @@ def ram_yip_sum(lam: Partition, n: int, jobs: int = 1,
         raise ValueError(f"n={n} does not match partition {lam.parts}")
     from .parallel import parallel_ram_yip_sum
 
-    return parallel_ram_yip_sum(lam, n, jobs, cap)
+    return parallel_ram_yip_sum(lam, n, jobs)

@@ -16,10 +16,6 @@ Root = tuple[int, int]       # (i, k) with 1 <= i < k <= n
 Weight = tuple[int, ...]
 
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
 def all_perms(n: int) -> list[Perm]:
     """All of S_n in lexicographic one-line order (the fixed shard order)."""
     return list(permutations(range(1, n + 1)))
@@ -29,11 +25,6 @@ def perm_length(w: Perm) -> int:
     """Coxeter length = number of inversions of the one-line word."""
     n = len(w)
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-
-
-def perm_mul(u: Perm, v: Perm) -> Perm:
-    """Composition u*v acting as (u*v)(i) = u(v(i))."""
-    return tuple(u[x - 1] for x in v)
 
 
 def right_mul_transposition(w: Perm, r: Root) -> Perm:

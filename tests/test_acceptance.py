@@ -17,8 +17,8 @@ from macdonald.compression import filling_map, verify_all_classes
 from macdonald.fillings import compressed_sum, shape_of
 from macdonald.oracle import check_specializations
 from macdonald.qt import RationalQT, rational_one
-from macdonald.ramyip import classify_folds, ram_yip_sum, _walk_term_raw
-from macdonald.weyl import all_perms, perm_length
+from macdonald.ramyip import _fold_data, _walk_term_raw, classify_folds, ram_yip_sum
+from macdonald.weyl import all_perms
 
 MAX_JOBS = max(2, os.cpu_count() or 2)
 
@@ -188,11 +188,10 @@ def test_criterion_8_property_suites():
         lam = Partition(parts)
         chain = build_chain(lam)
         for w in all_perms(lam.n):
-            lw = perm_length(w)
             for mask in range(1 << chain.m):
                 folds = [p for p in range(1, chain.m + 1)
                          if mask >> (p - 1) & 1]
-                num, den, content = _walk_term_raw(w, folds, chain, lw)
+                num, den, content = _walk_term_raw(w, _fold_data(folds, chain))
                 sigma = filling_map(w, folds, lam)
                 assert content == sigma.content(), (parts, w, folds)
                 pairs_checked += 1

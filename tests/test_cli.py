@@ -125,6 +125,30 @@ def test_verify_default_cross_check(capsys):
     assert report["checks"][0]["name"] == "formulas-agree"
 
 
+def test_verify_default_names_the_first_differing_monomial(capsys, monkeypatch):
+    import macdonald.cli as cli
+    from macdonald.qt import RationalQT, rational_str
+
+    real = cli.compressed_sum
+    seven = RationalQT({(0, 0): 7})
+
+    def corrupted(lam, n, jobs=1):
+        # one member of the orbit of (2,1,0), after two that stay intact
+        P = real(lam, n, jobs=jobs)
+        P[(1, 2, 0)] = seven
+        return P
+
+    monkeypatch.setattr(cli, "compressed_sum", corrupted)
+    code, out, _ = run_cli(capsys, ["verify", "--lambda", "2,1,0"])
+    want = ramyip.ram_yip_sum(Partition((2, 1, 0)), 3)[(1, 2, 0)]
+    assert code == 1
+    assert json.loads(out)["checks"] == [{
+        "name": "formulas-agree", "ok": False,
+        "detail": f"first difference at x[1,2,0]: ram-yip {rational_str(want)}, "
+                  f"compressed {rational_str(seven)}",
+    }]
+
+
 def test_verify_per_class(capsys):
     code, out, _ = run_cli(
         capsys, ["verify", "--lambda", "2,0", "-n", "2", "--per-class"]
@@ -233,8 +257,8 @@ def test_map_properties_fails_a_corrupted_walk_term(capsys, monkeypatch, shape,
     real_term, real_weight = ramyip._walk_term_raw, weyl.permute_weight
     calls = []
 
-    def corrupted_term(w, folds, chain, *args, **kwargs):
-        num, den, content = real_term(w, folds, chain, *args, **kwargs)
+    def corrupted_term(w, plan):
+        num, den, content = real_term(w, plan)
         calls.append(w)
         if len(calls) == 10:
             if fault == "parity":

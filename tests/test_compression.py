@@ -5,6 +5,7 @@ import random
 from macdonald.chain import Partition, build_chain
 import macdonald.compression as compression
 from macdonald.compression import (
+    ClassWindow,
     class_sum,
     fiber_witness,
     filling_map,
@@ -152,7 +153,9 @@ def test_shared_lift_memo_matches_fresh_memo_per_fiber():
     assert len(report.classes) == 288
     for values, result in report.classes.items():
         content = Filling(lam.parts, 4, values).content()
-        lhs, contents_ok = class_sum(result.pairs, chain, content)
+        fresh = ClassWindow(chain, len(result.pairs))
+        total, contents_ok = class_sum(result.pairs, content, fresh)
+        lhs = fresh.packing.rational(total)
         assert (lhs.num, lhs.den) == (result.lhs.num, result.lhs.den)
         assert contents_ok == result.contents_ok
         assert lhs == result.rhs and result.ok
@@ -166,9 +169,9 @@ def test_corrupted_walk_terms_fail_their_class(monkeypatch):
     assert len(pairs) == 2
     real = compression._walk_term_raw
 
-    def corrupted(w, folds, chain, *args, **kwargs):
-        num, den, content = real(w, folds, chain, *args, **kwargs)
-        if FoldingPair(w, frozenset(folds)) in pairs:
+    def corrupted(w, plan):
+        num, den, content = real(w, plan)
+        if FoldingPair(w, frozenset(plan.folds)) in pairs:
             num = {m: -c for m, c in num.items()}
         return num, den, content
 
@@ -214,10 +217,10 @@ def test_verify_class_decides_on_the_packed_identity(monkeypatch):
     assert verify_all_classes(lam, 4).classes[sigma.values].ok
     real = compression.class_sum
 
-    def off_by_one(pairs, chain, content, window=None):
+    def off_by_one(pairs, content, window):
         # the fiber sum's packed integer, one unit off in its lowest digit
-        lhs, contents_ok = real(pairs, chain, content, window)
-        return compression.FiberSum(lhs.packed + 1, lhs.window), contents_ok
+        lhs, contents_ok = real(pairs, content, window)
+        return lhs + 1, contents_ok
 
     monkeypatch.setattr(compression, "class_sum", off_by_one)
     report = verify_all_classes(lam, 4)

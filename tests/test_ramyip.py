@@ -13,18 +13,18 @@ from macdonald.parallel import _merge_into
 from macdonald.qt import RationalQT, rational_one
 from macdonald.ramyip import (
     TermCapExceeded,
-    WalkMemo,
     _fold_data,
     _walk_term_raw,
     classify_folds,
     folded_weight,
+    perm_tables,
     ram_yip_sum,
     walk_shard,
     walk_t_range,
     walk_term,
     walk_window,
 )
-from macdonald.weyl import all_perms, identity_perm, perm_length, permute_weight
+from macdonald.weyl import all_perms, perm_length, permute_weight
 
 
 def chain4310():
@@ -53,7 +53,7 @@ def test_classify_empty_folds():
 def test_identity_folds_negative():
     chain = chain4310()
     for p in range(1, chain.m + 1):
-        cf = classify_folds(identity_perm(4), {p}, chain)
+        cf = classify_folds((1, 2, 3, 4), {p}, chain)
         assert cf.minus == {p} and not cf.plus
 
 
@@ -75,14 +75,14 @@ def test_folded_weight_worked_example():
 def test_walk_term_unfolded():
     lam = Partition((2, 1, 0))
     chain = build_chain(lam)
-    coef, content = walk_term(identity_perm(3), set(), chain)
+    coef, content = walk_term((1, 2, 3), set(), chain)
     assert coef == rational_one() and content == (2, 1, 0)
 
 
 def test_walk_term_negative_fold():
     lam = Partition((2, 1, 0))
     chain = build_chain(lam)
-    coef, content = walk_term(identity_perm(3), {1}, chain)
+    coef, content = walk_term((1, 2, 3), {1}, chain)
     # t^((0-3-1)/2) (1-t) q t^2/(1-q t^2) = q(1-t)/(1-q t^2)
     assert coef == RationalQT({(1, 0): 1, (1, 1): -1}, [(1, 2)])
     assert content == (1, 1, 1)
@@ -118,9 +118,10 @@ def test_term_count_3210():
     assert (1 << chain.m) * 24 == 384
 
 
-def test_term_cap():
+def test_term_cap(monkeypatch):
+    monkeypatch.setenv("MACDONALD_TERM_CAP", "100")
     with pytest.raises(TermCapExceeded):
-        ram_yip_sum(Partition((3, 2, 1, 0)), 4, cap=100)
+        ram_yip_sum(Partition((3, 2, 1, 0)), 4)
 
 
 def test_fold_parity_exhaustive_small():
@@ -217,22 +218,17 @@ def reference_walk_term(w, fold_list, chain):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_walk_shapes()), st.data())
-def test_walk_term_with_and_without_a_plan_matches_the_definition(lam, data):
+def test_walk_term_from_its_plan_matches_the_definition(lam, data):
     chain = build_chain(lam)
     fold_sets = data.draw(st.lists(
         st.sets(st.integers(1, chain.m)) if chain.m else st.just(set()),
         min_size=1, max_size=3))
-    memo = WalkMemo()      # shared by every fold set, as in walk_shard
     for folds in fold_sets:
         fold_list = sorted(folds)
         plan = _fold_data(fold_list, chain)
-        assert plan.k == len(fold_list)
+        assert plan.k == len(fold_list) and plan.folds == tuple(fold_list)
         for w in all_perms(lam.n):
-            want = reference_walk_term(w, fold_list, chain)
-            assert _walk_term_raw(w, fold_list, chain) == want
-            assert _walk_term_raw(w, fold_list, chain, None, plan, memo) == want
-            assert _walk_term_raw(w, fold_list, chain, perm_length(w), plan,
-                                  memo) == want
+            assert _walk_term_raw(w, plan) == reference_walk_term(w, fold_list, chain)
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,6 +242,43 @@ def test_walk_terms_lie_in_the_stated_range(lam, data):
         min_size=1, max_size=4))
     for folds in fold_sets:
         for w in all_perms(lam.n):
-            num, _den, _content = _walk_term_raw(w, sorted(folds), chain)
+            num, _den, _content = _walk_term_raw(w, _fold_data(sorted(folds), chain))
             ((a, b), c), = num.items()
             assert c == 1 and a >= 0 and t_lo <= b <= t_hi
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_perm_tables_equal_length_and_weight_action(n, data):
+    lengths, readers = perm_tables(n)
+    mu = data.draw(st.tuples(*[st.integers(-9, 9)] * n))
+    for w in all_perms(n):
+        assert lengths[w] == perm_length(w)
+        assert readers[w](mu) == permute_weight(w, mu)
+    assert perm_tables(n)[0] is lengths and perm_tables(n)[1] is readers
+
+
+def test_perm_tables_fill_only_what_is_read():
+    # verify --map-properties walks sampled pairs of S_9: no table is eager
+    perm_tables.cache_clear()
+    lengths, readers = perm_tables(9)
+    w = (9, 8, 7, 6, 5, 4, 3, 2, 1)
+    assert lengths[w] == 36 and len(lengths) == 1 and not readers
+
+
+def test_clearing_the_program_caches_empties_perm_tables():
+    import sys
+
+    lengths, _readers = perm_tables(4)
+    lengths[(2, 1, 3, 4)]
+    assert lengths
+    # every functools cache of a macdonald module, as the benchmark clears
+    # them before each operation (perfbench/run.py, program_caches)
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("macdonald."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    fresh, readers = perm_tables(4)
+    assert fresh is not lengths and not fresh and not readers
