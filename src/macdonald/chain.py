@@ -18,7 +18,7 @@ bookkeeping is the easiest place for an off-by-one to hide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .weyl import Root
@@ -105,6 +105,15 @@ class ChainEntry:
     @property
     def height(self) -> int:
         return self.root[1] - self.root[0]
+
+    @cached_property
+    def factor(self) -> tuple[int, int]:
+        """``(mult, height)``, the entry's binomial 1 - q^mult t^height.
+
+        One tuple per entry, shared by every denominator multiset that
+        holds it.
+        """
+        return (self.mult, self.height)
 
 
 class LambdaChain:

@@ -26,7 +26,9 @@ failing class, or on demand.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -195,7 +197,8 @@ class ClassWindow:
     The memos serve one run of ``verify_all_classes``, which clears them
     at its end: each fold set's fold plan (``ramyip._fold_data``, which
     carries the ``perm_tables`` its walk terms read) and lift, and each lift
-    by multiset.  A lazy ``ClassResult.lhs`` refills what it reads.
+    by multiset.  A lazy ``ClassResult.lhs`` refills what it reads, and a
+    ``ClassResult.pairs`` read groups the fibers again, once per window.
     """
 
     def __init__(self, chain: LambdaChain, max_fiber: int):
@@ -207,7 +210,15 @@ class ClassWindow:
         self.packing = PackedWindow.bounded(
             union.elements(), min(w_lo, f_lo), max(w_hi, f_hi), max_fiber)
         self._folds: dict[frozenset[int], tuple] = {}
-        self._lifts: dict[frozenset, int] = {}
+        self._lifts: dict[tuple, int] = {}
+        self._fibers: dict[tuple[int, ...], Fiber] | None = None
+
+    def fibers(self) -> dict[tuple[int, ...], Fiber]:
+        """``group_fibers`` of the window's partition, grouped on first use."""
+        if self._fibers is None:
+            lam = self.chain.partition
+            self._fibers = group_fibers(lam, lam.n)
+        return self._fibers
 
     def fold_set(self, folds: frozenset[int]) -> tuple[FoldPlan, int]:
         """(fold plan, lift) of a fold set."""
@@ -219,7 +230,8 @@ class ClassWindow:
 
     def lift(self, den: Counter) -> int:
         """``PackedWindow.lift(den)``, memoised by multiset."""
-        key = frozenset(den.items())
+        # the factors themselves, sorted: no (factor, count) tuple per key
+        key = tuple(sorted(den.elements()))
         lift = self._lifts.get(key)
         if lift is None:
             lift = self._lifts[key] = self.packing.lift(den)
@@ -233,14 +245,21 @@ class ClassResult:
     ``lhs`` (the fiber sum over the window's factors, unreduced) and ``rhs`` (the
     filling's reduced term) are built on first use, ``lhs`` through the
     run's window; a failing class keeps the ``lhs`` its check computed.
+    The check drops each fiber once it is decided, so ``pairs`` regroups
+    the folding pairs on first use (``ClassWindow.fibers``) and ``size``
+    keeps the fiber's length.
     """
 
-    pairs: list[FoldingPair]
+    size: int
     ok: bool
     contents_ok: bool
     sigma: Filling
     window: ClassWindow
     _lhs: RationalQT | None = None
+
+    @property
+    def pairs(self) -> Fiber:
+        return self.window.fibers()[self.sigma.values]
 
     @property
     def lhs(self) -> RationalQT:
@@ -273,8 +292,43 @@ def _gather(slots: tuple[int, ...]):
     return itemgetter(*slots)
 
 
-def group_fibers(lam: Partition, n: int
-                 ) -> dict[tuple[int, ...], list[FoldingPair]]:
+class Fiber(Sequence):
+    """The folding pairs of one filling, in enumeration order, one code each.
+
+    The code of (w, J) is ``i << m | mask``: w is the i-th permutation of
+    the table's ``perms`` and J is ``fold_sets[mask]``, the fold set whose
+    positions are the set bits of ``mask``.  An ``array`` holds 8 bytes a
+    pair, where a list of ``FoldingPair`` objects holds about 60; a pair's
+    ``FoldingPair`` is built when it is read.  A fiber equals any sequence
+    of the same pairs in the same order.
+    """
+
+    __slots__ = ("codes", "table")
+
+    def __init__(self, table: tuple[list[Perm], list[frozenset[int]], int]):
+        self.codes = array("Q")
+        self.table = table
+
+    def _pair(self, code: int) -> FoldingPair:
+        perms, fold_sets, m = self.table
+        return FoldingPair(perms[code >> m], fold_sets[code & ((1 << m) - 1)])
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index: int) -> FoldingPair:
+        return self._pair(self.codes[index])
+
+    def __iter__(self):
+        return map(self._pair, self.codes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def group_fibers(lam: Partition, n: int) -> dict[tuple[int, ...], Fiber]:
     """All folding pairs grouped by image filling, in enumeration order.
 
     The filling map's column swaps move positions, not values, so the image
@@ -287,20 +341,23 @@ def group_fibers(lam: Partition, n: int
     shape = shape_of(lam.parts)
     m = chain.m
     identity = tuple(range(n))
-    schedule = []
+    gathers, fold_sets = [], []
     for mask in range(1 << m):
         fold_list = [p for p in range(1, m + 1) if mask >> (p - 1) & 1]
-        slots = _filling_values(identity, fold_list, chain, shape)
-        schedule.append((_gather(slots), frozenset(fold_list)))
-    out: dict[tuple[int, ...], list[FoldingPair]] = {}
-    for w in all_perms(n):
-        for gather, folds in schedule:
+        gathers.append(_gather(_filling_values(identity, fold_list, chain, shape)))
+        fold_sets.append(frozenset(fold_list))
+    perms = all_perms(n)
+    table = (perms, fold_sets, m)
+    out: dict[tuple[int, ...], Fiber] = {}
+    for i, w in enumerate(perms):
+        code = i << m
+        for gather in gathers:
             values = gather(w)
-            pairs = out.get(values)
-            if pairs is None:
-                out[values] = [FoldingPair(w, folds)]
-            else:
-                pairs.append(FoldingPair(w, folds))
+            fiber = out.get(values)
+            if fiber is None:
+                fiber = out[values] = Fiber(table)
+            fiber.codes.append(code)
+            code += 1
     return out
 
 
@@ -332,7 +389,7 @@ def class_sum(pairs: list[FoldingPair], expected_content: tuple[int, ...],
     return total, contents_ok
 
 
-def _check_class(sigma: Filling, pairs: list[FoldingPair],
+def _check_class(sigma: Filling, pairs: Sequence[FoldingPair],
                  window: ClassWindow) -> ClassResult:
     """The class identity of one filling, decided on packed integers.
 
@@ -350,7 +407,7 @@ def _check_class(sigma: Filling, pairs: list[FoldingPair],
     rhs, weight = packing.pack(num_r, window.lift(den_r))
     packing.check_weight(weight)
     ok = contents_ok and lhs == rhs
-    return ClassResult(pairs, ok, contents_ok, sigma, window,
+    return ClassResult(len(pairs), ok, contents_ok, sigma, window,
                        None if ok else packing.rational(lhs))
 
 
@@ -369,10 +426,10 @@ def verify_all_classes(lam: Partition, n: int) -> ClassReport:
     missing: list[tuple[int, ...]] = []
     first_failure: str | None = None
     ok = True
-    seen = set()
+    # each fiber leaves the dict, and is freed, once its class is decided;
+    # what is left at the end maps outside the nonattacking set
     for sigma in enumerate_nonattacking(lam, n):
-        seen.add(sigma.values)
-        pairs = fibers.get(sigma.values, [])
+        pairs = fibers.pop(sigma.values, None)
         if not pairs:
             missing.append(sigma.values)
             ok = False
@@ -389,11 +446,10 @@ def verify_all_classes(lam: Partition, n: int) -> ClassReport:
     # the few it reads, so the memos end with the run
     window._folds.clear()
     window._lifts.clear()
-    stray = set(fibers) - seen
-    if stray:
+    if fibers:
         ok = False
         if first_failure is None:
-            first_failure = f"{len(stray)} fibers map outside the nonattacking set"
+            first_failure = f"{len(fibers)} fibers map outside the nonattacking set"
     return ClassReport(
         lam=lam.parts,
         n=n,
@@ -428,7 +484,7 @@ def render_pair_chain(pair: FoldingPair, chain: LambdaChain) -> str:
     return "".join(pieces)
 
 
-def render_counterexample(sigma: Filling, pairs: list[FoldingPair],
+def render_counterexample(sigma: Filling, pairs: Sequence[FoldingPair],
                           lhs: RationalQT, rhs: RationalQT,
                           chain: LambdaChain) -> str:
     lines = ["class identity failed for filling:", sigma.render()]

@@ -142,7 +142,7 @@ def shape_of(parts: tuple[int, ...]) -> Shape:
     return Shape(Partition(parts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Filling:
     """Values on the cells of a diagram, stored in reading order."""
 

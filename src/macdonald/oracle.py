@@ -4,11 +4,17 @@ At an exact rational specialization (q0, t0), the polynomial is pinned down
 by two facts: it is m_lambda plus lower terms in dominance order, and it is
 orthogonal to every lower monomial symmetric function under the inner product
 with <p_rho, p_rho> = z_rho * prod_i (1 - q0^rho_i)/(1 - t0^rho_i) on power
-sums.  Solving that small linear system exactly over Fractions gives a value
-for every coefficient that never touches the formulas being checked.  The
-change of basis between power sums and monomials comes from the combinatorial
+sums.  Solving that small linear system exactly gives a value for every
+coefficient that never touches the formulas being checked.  The change of
+basis between power sums and monomials comes from the combinatorial
 transition coefficients of p_rho in the m_mu, and one exact Gauss-Jordan
 routine both inverts that matrix and solves the Gram system.
+
+The linear algebra runs on Python ints, with denominators cleared once per
+row rather than once per operation: the Gram matrix is built from integer
+rows scaled by their own denominators and integer norms over one common
+denominator, and the elimination keeps primitive integer rows.  Only its
+results are Fractions, the same exact values a Fraction elimination gives.
 
 The solve runs over all partitions of |lambda| below lambda in dominance,
 whatever their number of parts; only afterwards is the result restricted to
@@ -23,7 +29,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 
 from .chain import Partition
 from .qt import PoleError, SymFun, rational_eval_at, rational_one
@@ -117,7 +124,7 @@ def monomial_in_powers(k: int) -> dict[PartitionTuple, dict[PartitionTuple, Frac
     size = len(plist)
     # mat[r][c] = coefficient of m_{plist[c]} in p_{plist[r]}, so p = mat * m
     # as basis columns and row mu of the inverse expands m_mu in power sums.
-    mat = [[Fraction(p_in_m[rho].get(mu, 0)) for mu in plist] for rho in plist]
+    mat = [[p_in_m[rho].get(mu, 0) for mu in plist] for rho in plist]
     inv = _invert(mat, size)
     out: dict[PartitionTuple, dict[PartitionTuple, Fraction]] = {}
     for i, mu in enumerate(plist):
@@ -127,33 +134,57 @@ def monomial_in_powers(k: int) -> dict[PartitionTuple, dict[PartitionTuple, Frac
     return out
 
 
-def _gauss_jordan(aug: list[list[Fraction]], size: int,
+def _scaled(row: list[Fraction | int]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, as ints, and that lcm."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def _primitive(row: list[Fraction | int]) -> list[int]:
+    """The row cleared of denominators and divided by its content."""
+    ints, _ = _scaled(row)
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _gauss_jordan(aug: list[list[Fraction | int]], size: int,
                   singular: str) -> list[list[Fraction]]:
-    """Reduce augmented rows [A | B] in place to [I | A^-1 B], exactly.
+    """Reduce augmented rows [A | B] to [I | A^-1 B], exactly.
 
     A is the leading size-by-size block; when it is singular, OracleSingular
-    is raised with the caller's message.
+    is raised with the caller's message.  The rows (Fractions or ints) are
+    first cleared of denominators to primitive integer rows, so elimination
+    runs on Python ints: a row is updated as ``pv * x - f * y`` against the
+    pivot row, whose pivot is ``pv``, and then divided by its content when
+    that is above 1.  No pivot is normalised; at the end row r is
+    ``[0 .. d .. 0 | d * (A^-1 B)_r]`` with d its pivot, and one Fraction
+    per entry of B brings it to the exact quotient.
     """
+    rows = [_primitive(row) for row in aug]
     for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
         if pivot is None:
             raise OracleSingular(singular)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        row = aug[col]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        row = rows[col]
         pv = row[col]
-        # columns left of col are already zero in the pivot row
-        row[col:] = [x / pv for x in row[col:]]
         for r in range(size):
-            other = aug[r]
-            factor = other[col]
-            if r != col and factor:
-                other[col:] = [x - factor * y if y else x
-                               for x, y in zip(other[col:], row[col:])]
-    return aug
+            other = rows[r]
+            f = other[col]
+            if r != col and f:
+                # columns left of col are zero in the pivot row
+                new = [pv * x - f * y if y else pv * x
+                       for x, y in zip(other, row)]
+                g = gcd(*new)
+                rows[r] = [x // g for x in new] if g > 1 else new
+    one, zero = Fraction(1), Fraction(0)
+    return [[one if c == r else zero for c in range(size)]
+            + [Fraction(x, row[r]) for x in row[size:]]
+            for r, row in enumerate(rows)]
 
 
-def _invert(mat: list[list[Fraction]], size: int) -> list[list[Fraction]]:
-    aug = [row[:] + [Fraction(int(i == r)) for i in range(size)]
+def _invert(mat: list[list[Fraction | int]], size: int) -> list[list[Fraction]]:
+    aug = [row[:] + [int(i == r) for i in range(size)]
            for r, row in enumerate(mat)]
     reduced = _gauss_jordan(aug, size, "transition matrix is singular")
     return [row[size:] for row in reduced]
@@ -169,7 +200,8 @@ def _z(rho: PartitionTuple) -> int:
     return out
 
 
-def _solve(gram: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+def _solve(gram: list[list[Fraction | int]],
+           rhs: list[Fraction | int]) -> list[Fraction]:
     size = len(rhs)
     aug = [gram[r][:] + [rhs[r]] for r in range(size)]
     reduced = _gauss_jordan(aug, size, "Gram matrix is singular at this point")
@@ -178,7 +210,19 @@ def _solve(gram: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
 
 def macdonald_oracle(lam: Partition, n: int, q0: Fraction,
                      t0: Fraction) -> SymFunQ:
-    """Coefficients of P_lambda in the monomial basis at an exact point."""
+    """Coefficients of P_lambda in the monomial basis at an exact point.
+
+    P_lambda = m_lambda + sum_mu x_mu m_mu over mu below lambda, with
+    <m_nu, P_lambda> = 0 for each nu below.  The inner product is taken on
+    integers.  Each needed row a_mu of ``monomial_in_powers`` is scaled by the
+    lcm s_mu of its denominators, and every norm <p_rho, p_rho> by one common
+    denominator D, to integers A_mu and W_rho.  The integer Gram
+    G[nu][mu] = sum_rho A_nu,rho A_mu,rho W_rho is D s_nu s_mu <m_nu, m_mu>:
+
+      sum_mu <m_nu, m_mu> x_mu = -<m_nu, m_lambda>        (times D s_nu s_lambda)
+      sum_mu G[nu][mu] (x_mu s_lambda / s_mu) = -G[nu][lambda]
+      so G y = -G[.][lambda] and x_mu = y_mu s_mu / s_lambda.
+    """
     q0, t0 = Fraction(q0), Fraction(t0)
     lam_red = strip_zeros(lam.parts)
     k = sum(lam_red)
@@ -186,9 +230,10 @@ def macdonald_oracle(lam: Partition, n: int, q0: Fraction,
              if mu != lam_red and dominance_le(mu, lam_red)]
     if not below:
         return {lam_red: Fraction(1)}
+    plist = partitions_of(k)
     m_in_p = monomial_in_powers(k)
-    norms: dict[PartitionTuple, Fraction] = {}
-    for rho in partitions_of(k):
+    norms: list[Fraction] = []
+    for rho in plist:
         value = Fraction(_z(rho))
         for r in rho:
             dq = 1 - q0**r
@@ -196,24 +241,29 @@ def macdonald_oracle(lam: Partition, n: int, q0: Fraction,
             if dt == 0:
                 raise PoleError(f"1 - t0^{r} vanishes at t0={t0}")
             value *= Fraction(dq, 1) / dt
-        norms[rho] = value
-
-    def pair(mu: PartitionTuple, nu: PartitionTuple) -> Fraction:
-        amu, anu = m_in_p[mu], m_in_p[nu]
-        total = Fraction(0)
-        for rho, c in amu.items():
-            d = anu.get(rho)
-            if d:
-                total += c * d * norms[rho]
-        return total
-
-    gram = [[pair(mu, nu) for mu in below] for nu in below]
-    rhs = [-pair(lam_red, nu) for nu in below]
+        norms.append(value)
+    weights, _ = _scaled(norms)
+    rows: list[list[int]] = []
+    scales: list[int] = []
+    for mu in below + [lam_red]:
+        row, s = _scaled([m_in_p[mu].get(rho, 0) for rho in plist])
+        rows.append(row)
+        scales.append(s)
+    size = len(below)
+    gram = [[0] * size for _ in range(size)]
+    rhs = [0] * size
+    for i in range(size):
+        weighted = list(map(mul, rows[i], weights))
+        gram_i = gram[i]
+        for j in range(i, size):
+            gram_i[j] = gram[j][i] = sum(map(mul, weighted, rows[j]))
+        rhs[i] = -sum(map(mul, weighted, rows[size]))
     solution = _solve(gram, rhs)
+    s_lam = scales[size]
     out: SymFunQ = {lam_red: Fraction(1)}
-    for mu, c in zip(below, solution):
-        if c != 0 and len(mu) <= n:
-            out[mu] = c
+    for mu, y, s in zip(below, solution, scales):
+        if y != 0 and len(mu) <= n:
+            out[mu] = y * s / s_lam
     return out
 
 

@@ -82,7 +82,7 @@ def check_term_cap(chain: LambdaChain) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FoldingPair:
     w: Perm
     folds: frozenset[int]       # positions in 1..m
@@ -168,7 +168,7 @@ def _fold_data(fold_list: list[int], chain: LambdaChain) -> FoldPlan:
         a, b = pos[i - 1], pos[k - 1]
         steps += (a, b, entry.mult, entry.height)
         pos[i - 1], pos[k - 1] = b, a
-    den = Counter([(e.mult, e.height) for e in entries])
+    den = Counter([e.factor for e in entries])
     return FoldPlan(folded_weight(fold_list, chain), den, tuple(steps),
                     itemgetter(*pos), len(entries), tuple(fold_list),
                     *perm_tables(n))
@@ -241,7 +241,7 @@ def walk_term(w: Perm, folds, chain: LambdaChain) -> tuple[RationalQT, Content]:
 
 def chain_denominator(chain: LambdaChain) -> list[tuple[int, int]]:
     """All binomial factors any folding subset can produce."""
-    return [(e.mult, e.height) for e in chain.entries]
+    return [e.factor for e in chain.entries]
 
 
 def walk_t_range(chain: LambdaChain) -> tuple[int, int]:

@@ -86,3 +86,30 @@ def test_tracer_sees_the_per_class_check(tmp_path):
     assert (stats.pairs, stats.fibers) == (384, 288)
     assert stats.calls["compression.class_sum"] == 288
     assert stats.calls["ramyip._walk_term_raw"] == 384
+
+
+def test_tracer_sees_every_oracle_stage(tmp_path):
+    from macdonald import oracle
+
+    # cold caches, as each benchmark op runs: one transition, one inverse
+    oracle.monomial_in_powers.cache_clear()
+    oracle.power_in_monomials.cache_clear()
+    tracer = _load_layers().Tracer(tmp_path)
+    assert tracer.absent == []
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["verify", "--oracle", "--lambda", "3,2,1,0",
+                         "--seed", "0"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    report = json.loads(out.getvalue())
+    assert report["ok"] is True
+    points = sum(c["name"].startswith("oracle@") for c in report["checks"])
+    assert points == 3
+    stats = tracer.collect()
+    assert stats.broken == set()
+    assert stats.calls["oracle.power_in_monomials"] == 1
+    assert stats.calls["oracle._invert"] == 1
+    assert stats.calls["oracle._solve"] == points

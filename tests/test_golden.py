@@ -8,7 +8,10 @@ that alters a byte shows here.  The ram-yip JSON of the benchmark's two walk
 shapes, (5,3,1,0) and (5,4,2,0), was recorded at commit 0351681, before walk
 terms were built from fold plans.  The compressed output of the fill shape
 (5,4,2,1,0) was recorded at commit b93be5d, before ``finalize`` reduced and
-the emitter rendered each distinct coefficient once.
+the emitter rendered each distinct coefficient once.  The ``verify`` pins
+(the oracle at seeded, explicit, pole and singular points, and the per-class
+report of the benchmark's shape) were recorded at commit 1ed5ead, before the
+oracle's elimination ran on integer rows.
 """
 
 import contextlib
@@ -96,3 +99,34 @@ def test_compute_stdout_matches_golden_hash(parts, formula, out):
     assert code == 0
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert digest == GOLDEN[(parts, formula, out)]
+
+
+VERIFY_GOLDEN = {
+    ("--oracle", "--lambda", "4,3,2,1,0", "--seed", "0"):
+        ("4a7523f649f7173f84d4a9ddf2bf7fd8c39821ab2f6d3798000bcfe9bec5b45b", 0),
+    ("--oracle", "--lambda", "4,3,2,1,0", "--seed", "1"):
+        ("7861422095fa20dfc9158fc930cb96720c1fc6f9bfa58325428cac1bf3a7fd16", 0),
+    ("--oracle", "--lambda", "4,3,2,1,0", "--seed", "2"):
+        ("b7e2c789689d9290db43eb547460049a954833ff8f0a8e145f325f18dcb83a2b", 0),
+    ("--oracle", "--lambda", "4,3,2,1,0", "--seed", "3"):
+        ("cf5a5956efe4519c8f3d454aa48349431305917b3e83a6b6d460057a0932876d", 0),
+    ("--oracle", "--lambda", "4,3,2,1,0", "--q", "2/3", "--t", "5/7"):
+        ("1f00cd6f3ec23879016845061a1473bb04248e378d103ec629bf2b4d8882c0be", 0),
+    # a pole: 1 - t0^10 vanishes
+    ("--oracle", "--lambda", "4,3,2,1,0", "--q", "-2/3", "--t", "-1"):
+        ("3e64ce4c42dd09bef5e1ca434f1d85b67ef36187fd7a7d95e546a4fea6c8961a", 1),
+    # q0 = 1 zeroes the Gram matrix
+    ("--oracle", "--lambda", "4,3,2,1,0", "--q", "1", "--t", "1/2"):
+        ("da7fa62fafafd2a50bcfa933223f8fcca1ee7587273a7835e60cc22d570c092f", 1),
+    ("--per-class", "--lambda", "5,2,1,0"):
+        ("ac08abc8ef02d02884633e7344c7c4ad7127afae11b21e6dd222086545e6af41", 0),
+}
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_GOLDEN))
+def test_verify_stdout_and_exit_code_match_golden(args):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["verify", *args])
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert (digest, code) == VERIFY_GOLDEN[args]

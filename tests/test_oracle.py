@@ -1,8 +1,11 @@
 """Orthogonalization oracle, Schur rail, and specialization checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macdonald.chain import Partition
 from macdonald.fillings import compressed_sum
@@ -10,6 +13,7 @@ from macdonald.oracle import (
     OracleSingular,
     _invert,
     _solve,
+    _z,
     check_specializations,
     dominance_le,
     macdonald_oracle,
@@ -18,7 +22,7 @@ from macdonald.oracle import (
     power_in_monomials,
     schur_oracle,
 )
-from macdonald.qt import rational_add, rational_one
+from macdonald.qt import PoleError, rational_add, rational_one
 from macdonald.ramyip import ram_yip_sum
 
 
@@ -205,3 +209,178 @@ def test_mutation_of_one_shared_orbit_member_is_caught():
     symmetry = next(c for c in report.checks if c.name == "symmetry")
     assert not symmetry.ok
     assert symmetry.detail == "coefficients differ inside orbit of (2, 2, 1, 1)"
+
+
+# The exact elimination as it ran on Fractions, one division per operation.
+# The program's routine works on integer rows; both must give the same
+# Fractions and the same singular verdicts.
+
+def _fraction_gauss_jordan(aug, size, singular):
+    aug = [[Fraction(x) for x in row] for row in aug]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise OracleSingular(singular)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        row = aug[col]
+        pv = row[col]
+        row[:] = [x / pv for x in row]
+        for r in range(size):
+            factor = aug[r][col]
+            if r != col and factor:
+                aug[r] = [x - factor * y for x, y in zip(aug[r], row)]
+    return aug
+
+
+def _reference_invert(mat, size):
+    aug = [list(row) + [int(i == r) for i in range(size)]
+           for r, row in enumerate(mat)]
+    reduced = _fraction_gauss_jordan(aug, size, "transition matrix is singular")
+    return [row[size:] for row in reduced]
+
+
+def _reference_solve(gram, rhs):
+    size = len(rhs)
+    aug = [list(gram[r]) + [rhs[r]] for r in range(size)]
+    reduced = _fraction_gauss_jordan(aug, size,
+                                     "Gram matrix is singular at this point")
+    return [row[size] for row in reduced]
+
+
+_entries = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+)
+
+
+@st.composite
+def _square(draw):
+    size = draw(st.integers(1, 4))
+    return [draw(st.lists(_entries, min_size=size, max_size=size))
+            for _ in range(size)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square(), st.data())
+def test_elimination_equals_fraction_gauss_jordan(mat, data):
+    size = len(mat)
+    rhs = data.draw(st.lists(_entries, min_size=size, max_size=size))
+    try:
+        want_inverse = _reference_invert(mat, size)
+    except OracleSingular:
+        with pytest.raises(OracleSingular, match="^transition matrix is singular$"):
+            _invert(mat, size)
+        with pytest.raises(OracleSingular,
+                           match="^Gram matrix is singular at this point$"):
+            _solve(mat, rhs)
+        return
+    got = _invert(mat, size)
+    assert got == want_inverse
+    assert all(type(x) is Fraction for row in got for x in row)
+    assert _solve(mat, rhs) == _reference_solve(mat, rhs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_rank_deficient_matrices_raise_with_the_callers_message(size, data):
+    rows = [data.draw(st.lists(_entries, min_size=size, max_size=size))
+            for _ in range(size - 1)]
+    weights = data.draw(st.lists(_entries, min_size=size - 1,
+                                 max_size=size - 1))
+    combined = [sum((Fraction(w) * row[c] for w, row in zip(weights, rows)),
+                    Fraction(0)) for c in range(size)]
+    at = data.draw(st.integers(0, size - 1))
+    mat = rows[:at] + [combined] + rows[at:]
+    with pytest.raises(OracleSingular) as exc:
+        _invert(mat, size)
+    assert str(exc.value) == "transition matrix is singular"
+    with pytest.raises(OracleSingular) as exc:
+        _solve(mat, [Fraction(1)] * size)
+    assert str(exc.value) == "Gram matrix is singular at this point"
+
+
+def _reference_oracle(lam, n, q0, t0):
+    """The oracle as a Fraction Gram of pairwise products, solved over Fractions."""
+    lam_red = tuple(p for p in lam.parts if p)
+    k = sum(lam_red)
+    below = [mu for mu in partitions_of(k)
+             if mu != lam_red and dominance_le(mu, lam_red)]
+    if not below:
+        return {lam_red: Fraction(1)}
+    plist = partitions_of(k)
+    p_in_m = power_in_monomials(k)
+    inverse = _reference_invert(
+        [[p_in_m[rho].get(mu, 0) for mu in plist] for rho in plist], len(plist))
+    m_in_p = {mu: {plist[r]: c for r, c in enumerate(inverse[i]) if c}
+              for i, mu in enumerate(plist)}
+    norms = {}
+    for rho in plist:
+        value = Fraction(_z(rho))
+        for r in rho:
+            dt = 1 - t0**r
+            if dt == 0:
+                raise PoleError(f"1 - t0^{r} vanishes at t0={t0}")
+            value *= (1 - q0**r) / dt
+        norms[rho] = value
+
+    def pair(mu, nu):
+        amu, anu = m_in_p[mu], m_in_p[nu]
+        total = Fraction(0)
+        for rho, c in amu.items():
+            d = anu.get(rho)
+            if d:
+                total += c * d * norms[rho]
+        return total
+
+    gram = [[pair(mu, nu) for mu in below] for nu in below]
+    rhs = [-pair(lam_red, nu) for nu in below]
+    out = {lam_red: Fraction(1)}
+    for mu, c in zip(below, _reference_solve(gram, rhs)):
+        if c != 0 and len(mu) <= n:
+            out[mu] = c
+    return out
+
+
+def _seeded_points(seed, count):
+    """Points with either sign of q0 and t0, away from t0 = +-1 and q0 = 1."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        q0 = Fraction(rng.choice((-1, 1)) * rng.randint(1, 97), rng.randint(2, 97))
+        t0 = Fraction(rng.choice((-1, 1)) * rng.randint(1, 97), rng.randint(2, 97))
+        if abs(t0) != 1 and q0 != 1:
+            points.append((q0, t0))
+    return points
+
+
+def test_oracle_equals_the_fraction_gram_on_small_shapes():
+    shapes = _regular_shapes_up_to(6)
+    for i, parts in enumerate(shapes):
+        lam = Partition(parts)
+        for q0, t0 in _seeded_points(i, 2) + [(-Fraction(2, 3), Fraction(5, 7))]:
+            assert macdonald_oracle(lam, lam.n, q0, t0) == _reference_oracle(
+                lam, lam.n, q0, t0), (parts, q0, t0)
+
+
+def test_oracle_equals_the_fraction_gram_on_4_3_2_1_0():
+    lam = Partition((4, 3, 2, 1, 0))
+    for q0, t0 in [(Fraction(-2, 3), Fraction(5, 7))] + _seeded_points(20, 1):
+        got = macdonald_oracle(lam, 5, q0, t0)
+        assert got == _reference_oracle(lam, 5, q0, t0), (q0, t0)
+        assert all(type(v) is Fraction for v in got.values())
+
+
+def test_oracle_pole_at_t0_minus_one_keeps_its_text():
+    for parts, text in (((4, 3, 2, 1, 0), "1 - t0^10 vanishes at t0=-1"),
+                        ((2, 1, 0), "1 - t0^2 vanishes at t0=-1")):
+        with pytest.raises(PoleError) as exc:
+            macdonald_oracle(Partition(parts), len(parts), Fraction(-2, 3),
+                             Fraction(-1))
+        assert str(exc.value) == text
+
+
+def test_oracle_singular_at_q0_one():
+    # q0 = 1 zeroes every norm, so the whole Gram matrix
+    with pytest.raises(OracleSingular) as exc:
+        macdonald_oracle(Partition((3, 2, 1, 0)), 4, Fraction(1), Fraction(1, 2))
+    assert str(exc.value) == "Gram matrix is singular at this point"
