@@ -195,8 +195,9 @@ def _load_symfun_json(stream) -> tuple[Partition, int, SymFun]:
     """Parse a ``compute --out json`` document, checking its whole schema.
 
     Any breach (a non-object, a missing key, a non-integer exponent or
-    coefficient, a denominator factor that is not an [a, b] pair) raises a
-    one-line ValueError, so ``main`` exits 2 instead of failing later.
+    coefficient, a denominator factor that is not an [a, b] pair, an
+    exponent or a numerator ``[a, b]`` given twice) raises a one-line
+    ValueError, so ``main`` exits 2 instead of failing later.
     """
     try:
         obj = json.load(stream)
@@ -221,13 +222,19 @@ def _load_symfun_json(stream) -> tuple[Partition, int, SymFun]:
         exp = _int_list(mono["exp"], f"{where}.exp", length=n)
         if any(e < 0 for e in exp):
             raise ValueError(f"--in: {where}.exp has a negative entry")
+        if tuple(exp) in P:
+            raise ValueError(f"--in: {where}.exp {exp} repeats an earlier exponent")
         for key, width in (("num", 3), ("den", 2)):
             rows = mono[key]
             if not isinstance(rows, list):
                 raise ValueError(f"--in: {where}.{key} must be a list")
             for row in rows:
                 _int_list(row, f"each entry of {where}.{key}", length=width)
-        num = {(a, b): c for a, b, c in mono["num"]}
+        num = {}
+        for a, b, c in mono["num"]:
+            if (a, b) in num:
+                raise ValueError(f"--in: {where}.num repeats the term [{a}, {b}]")
+            num[a, b] = c
         den = [tuple(f) for f in mono["den"]]
         P[tuple(exp)] = RationalQT(num, den)
     return lam, n, P
@@ -375,12 +382,13 @@ def _map_property_checks(lam: Partition, n: int):
 
     Each pair's walk term must have even fold parity, and its content must
     equal both the image filling's content and w applied to the folded
-    weight; the first odd parity ends the pair checks.  The fold plan and
-    the folded weight depend on the fold set alone, so both are built once
-    per fold set.
+    weight; the first odd parity ends the pair checks.  The fold plan, the
+    folded weight and the reader of the image filling
+    (``compression.image_reader``) depend on the fold set alone, so all
+    three are built once per fold set.
     """
-    from .compression import fiber_witness, filling_map
-    from .fillings import enumerate_nonattacking
+    from .compression import fiber_witness, image_reader
+    from .fillings import Filling, enumerate_nonattacking
     from .ramyip import _fold_data, _walk_term_raw, folded_weight
     from .weyl import permute_weight
 
@@ -397,14 +405,15 @@ def _map_property_checks(lam: Partition, n: int):
     for w, folds in _map_pairs(chain, n):
         key = tuple(folds)
         if key not in plans:
-            plans[key] = (_fold_data(folds, chain), folded_weight(folds, chain))
-        plan, mu = plans[key]
+            plans[key] = (_fold_data(folds, chain), folded_weight(folds, chain),
+                          image_reader(folds, chain))
+        plan, mu, image = plans[key]
         try:
             _, _, content = _walk_term_raw(w, plan)
         except InternalInvariantError:
             parity_ok = False
             break
-        sigma = filling_map(w, folds, lam)
+        sigma = Filling(lam.parts, n, image(w))
         same = content == sigma.content() == permute_weight(w, mu)
         content_ok = content_ok and same
         checked += 1

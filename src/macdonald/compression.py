@@ -328,24 +328,33 @@ class Fiber(Sequence):
         return list(self) == list(other)
 
 
+def image_reader(fold_list: list[int], chain: LambdaChain):
+    """A function taking w to the reading-order values of (w, fold_list)'s image.
+
+    The filling map's column swaps move positions, not values, so the image
+    of (w, J) is w read at slots fixed by J; running J's swap schedule once
+    on the identity finds them.
+    """
+    lam = chain.partition
+    return _gather(_filling_values(tuple(range(lam.n)), fold_list, chain,
+                                   shape_of(lam.parts)))
+
+
 def group_fibers(lam: Partition, n: int) -> dict[tuple[int, ...], Fiber]:
     """All folding pairs grouped by image filling, in enumeration order.
 
-    The filling map's column swaps move positions, not values, so the image
-    of (w, J) is w read at slots fixed by J.  Each fold set's slots, and its
-    shared frozenset, are found once by running its swap schedule on the
-    identity; every w is then read through them.
+    Each fold set's ``image_reader`` and shared frozenset are built once;
+    every w is then read through the readers.
     """
     chain = build_chain(lam)
     check_term_cap(chain)
-    shape = shape_of(lam.parts)
     m = chain.m
-    identity = tuple(range(n))
     gathers, fold_sets = [], []
     for mask in range(1 << m):
         fold_list = [p for p in range(1, m + 1) if mask >> (p - 1) & 1]
-        gathers.append(_gather(_filling_values(identity, fold_list, chain, shape)))
-        fold_sets.append(frozenset(fold_list))
+        gathers.append(image_reader(fold_list, chain))
+        # copied from a set, a frozenset takes the set's smaller hash table
+        fold_sets.append(frozenset(set(fold_list)))
     perms = all_perms(n)
     table = (perms, fold_sets, m)
     out: dict[tuple[int, ...], Fiber] = {}

@@ -26,13 +26,13 @@ Attacks and every statistic couple only a column and its neighbour, so the
 fillings are walks through a ``ColumnTable``: states are one column's value
 tuple, steps go to the admissible tuples of the next column and carry their
 share of the statistics (the transfer-matrix method, Stanley, EC I 4.7).
-Enumeration is a depth-first walk in reading-order-lex order, counting
-pushes a vector of first columns through the steps, and the filling sum
-walks the same way carrying each path's running packed statistics, which
-``_term_raw`` decodes once per filling (``_filling_total`` re-walks a given
-value tuple).  Tables are built lazily, only as far as
-the walk reaches, per (parts, n, convention) by the cached ``column_table``;
-callers check the filling cap first.
+One depth-first walk, ``_walk``, yields each filling's values and running
+packed statistics in reading-order-lex order: enumeration keeps the values,
+and the filling sum has ``_term_raw`` decode each total once
+(``_filling_total`` re-walks a given value tuple).  Counting pushes a
+vector of first columns through the steps.  Tables are built lazily, only
+as far as the walk reaches, per (parts, n, convention) by the cached
+``column_table``; callers check the filling cap first.
 """
 
 from __future__ import annotations
@@ -424,43 +424,42 @@ def column_table(parts: tuple[int, ...], n: int, convention: str) -> ColumnTable
     return ColumnTable(parts, n, convention)
 
 
-def _enumerate_values(table: ColumnTable,
-                      firsts: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    """Every admissible value tuple whose first column is one of firsts.
+def _walk(table: ColumnTable, firsts: Iterable[tuple[int, ...]]
+          ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every filling whose first column is one of firsts, with its packed total.
 
-    A depth-first walk over the column states, without recursion; for
-    first columns in lexicographic order the tuples come out in
-    reading-order-lex order.
+    A depth-first walk over the column states with an explicit stack, which
+    carries each path's values and running packed statistics (the first
+    state's weight plus each step's).  For first columns in lexicographic
+    order the fillings come out in reading-order-lex order.
     """
-    depth = len(table.slices)
+    last = len(table.slices) - 1
     successors = table.successors
     for first in firsts:
         state = table.first_state(first)
-        if not depth:
-            yield first
+        if last < 0:
+            yield first, state.weight
             continue
-        heads = [first]
-        levels = [iter(successors(state).items())]
-        while levels:
-            head = heads[-1]
-            if len(levels) == depth:
-                for d, _step in levels.pop():
-                    yield head + d
-                heads.pop()
-                continue
-            for d, (_w, nxt) in levels[-1]:
-                heads.append(head + d)
-                levels.append(iter(successors(nxt).items()))
-                break
+        stack = [(state, first, state.weight, 0)]
+        while stack:
+            state, head, total, level = stack.pop()
+            succ = state.succ
+            if succ is None:
+                succ = successors(state)
+            if level == last:
+                for d, (weight, _nxt) in succ.items():
+                    yield head + d, total + weight
             else:
-                levels.pop()
-                heads.pop()
+                level += 1
+                # pushed in reverse, so the fillings come out in reading-order-lex order
+                stack.extend([(nxt, head + d, total + weight, level)
+                              for d, (weight, nxt) in reversed(succ.items())])
 
 
 def enumerate_nonattacking(lam: Partition, n: int) -> Iterator[Filling]:
     """Every nonattacking filling exactly once, in reading-order-lex order."""
     table = column_table(lam.parts, n, "paper")
-    for values in _enumerate_values(table, table.column_tuples(0, ())):
+    for values, _total in _walk(table, table.column_tuples(0, ())):
         yield Filling(lam.parts, n, values)
 
 
@@ -590,38 +589,18 @@ def compressed_shard(lam: Partition, n: int, prefixes: list[tuple[int, ...]],
                      window: PackedWindow) -> ContentAccumulator:
     """Accumulate filling terms whose first column matches one of prefixes.
 
-    One depth-first walk over the column table carries each path's running
-    packed statistics (the first state's weight plus each step's), so every
-    filling is reached once and decoded once by ``_term_raw``.  The sums are
-    packed in ``window``, the caller's ``filling_window``.  Terms are
-    grouped by denominator multiset and content over the whole shard, and
-    each group is lifted once when the shard ends.
+    ``_walk`` reaches every filling once with its packed statistics, and
+    ``_term_raw`` decodes each once.  The sums are packed in ``window``, the
+    caller's ``filling_window``.  Terms are grouped by denominator multiset
+    and content over the whole shard, and each group is lifted once when the
+    shard ends.
     """
     table = column_table(lam.parts, n, "paper")
     acc = ContentAccumulator(window)
-    add, term_raw, successors = acc.add, _term_raw, table.successors
-    last = len(table.slices) - 1
-    for first in prefixes:
-        state = table.first_state(first)
-        if last < 0:
-            num, den, content = term_raw(table, state.weight)
-            add(content, num, den)
-            continue
-        stack = [(state, state.weight, 0)]
-        while stack:
-            state, total, level = stack.pop()
-            succ = state.succ
-            if succ is None:
-                succ = successors(state)
-            if level == last:
-                for weight, _nxt in succ.values():
-                    num, den, content = term_raw(table, total + weight)
-                    add(content, num, den)
-            else:
-                level += 1
-                # pushed in reverse, so the fillings come out in reading-order-lex order
-                stack.extend([(nxt, total + weight, level)
-                              for weight, nxt in reversed(succ.values())])
+    add, term_raw = acc.add, _term_raw
+    for _values, total in _walk(table, prefixes):
+        num, den, content = term_raw(table, total)
+        add(content, num, den)
     acc.flush()
     return acc
 

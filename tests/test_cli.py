@@ -529,6 +529,30 @@ def test_verify_input_with_malformed_monomial_exits_2(capsys, tmp_path):
         assert err.startswith("error: --in:") and err.count("\n") == 1, bad
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+@pytest.mark.parametrize("repeat, message", [
+    ("exp", "error: --in: monomials[1].exp [2, 1, 0] repeats an earlier exponent\n"),
+    ("num", "error: --in: monomials[0].num repeats the term [0, 0]\n"),
+])
+def test_verify_input_with_a_repeated_entry_exits_2(capsys, tmp_path, oracle,
+                                                    repeat, message):
+    # a dict keeps the last of two equal keys, so either repeat would pass
+    # every check with the correct entry last
+    _, out, _ = run_cli(capsys, ["compute", "--lambda", "2,1,0", "--formula",
+                                 "compressed", "--out", "json"])
+    doc = json.loads(out)
+    monomials = doc["monomials"]
+    assert monomials[0] == {"exp": [2, 1, 0], "num": [[0, 0, 1]], "den": []}
+    if repeat == "exp":
+        monomials.insert(0, {**monomials[0], "num": [[0, 0, 7]]})
+    else:
+        monomials[0]["num"] = [[0, 0, 7], [0, 0, 1]]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["verify", "--in", str(path), *oracle])
+    assert (code, out, err) == (2, "", message)
+
+
 def test_verify_input_without_monomials_exits_2(capsys, tmp_path):
     code, out, err = _verify_input_text(
         capsys, tmp_path, json.dumps({"lambda": [1, 0], "n": 2})

@@ -22,9 +22,9 @@ from macdonald.fillings import (
     ColumnTable,
     Filling,
     _count_values,
-    _enumerate_values,
     _filling_total,
     _term_raw,
+    _walk,
     column_prefixes,
     column_table,
     compressed_shard,
@@ -87,7 +87,9 @@ def test_walk_and_count_equal_brute_force(shape_n, convention):
     want = brute_force(lam, n, convention)
     table = column_table(lam.parts, n, convention)
     firsts = list(table.column_tuples(0, ()))
-    assert list(_enumerate_values(table, firsts)) == want
+    walked = list(_walk(table, firsts))
+    assert [values for values, _total in walked] == want
+    assert all(total == _filling_total(table, values) for values, total in walked)
     assert _count_values(table, firsts) == len(want)
     assert count_nonattacking(lam, n, convention) == len(want)
     if convention == "paper":
@@ -151,7 +153,7 @@ def test_shards_sum_to_the_terms_of_every_filling(shape_n, data):
     table = column_table(lam.parts, n, "paper")
     window = filling_window(lam, n)
     reference = ContentAccumulator(window)
-    for vals in _enumerate_values(table, table.column_tuples(0, ())):
+    for vals, _total in _walk(table, table.column_tuples(0, ())):
         num, den, content = _term_raw(table, _filling_total(table, vals))
         reference.add(content, num, den)
     reference.flush()
@@ -171,7 +173,7 @@ def test_table_builds_only_what_the_walk_reaches():
     lam = Partition((5, 4, 2, 1, 0))
     table = ColumnTable(lam.parts, 5, "paper")
     first = (2, 4, 1, 3)
-    walked = list(_enumerate_values(table, [first]))
+    walked = [vals for vals, _total in _walk(table, [first])]
     assert len(walked) == _count_values(table, [first])
     columns = [(0, table.first_height), *table.slices]
     for j, (a, b) in enumerate(columns):
