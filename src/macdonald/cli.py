@@ -3,7 +3,8 @@
 Output on stdout is canonical and byte-identical across runs and worker
 counts; anything diagnostic goes to stderr.  Exit codes: 0 ok, 1 a requested
 verification failed, 2 invalid input (including non-regular partitions),
-3 the term cap was exceeded by the folding pairs or the fillings.
+3 the term cap was exceeded by the folding pairs, the fillings, the
+``--map-properties`` work or the oracle's work.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .chain import (
 )
 from .compression import verify_all_classes
 from .fillings import check_filling_cap, compressed_sum
-from .oracle import check_specializations
+from .oracle import check_oracle_cap, check_specializations
 from .parallel import parallel_count, resolve_jobs
 from .qt import (
     RationalQT,
@@ -62,6 +63,7 @@ MAP_EXHAUSTIVE_PAIRS = 50000      # --map-properties checks every pair up to thi
 MAP_SAMPLES = 500                 # and this many seeded samples past it
 MAP_WITNESSES = 5000              # fillings whose witness --map-properties maps back
 MAX_FRACTION_CHARS = 40           # longest --q/--t accepted
+MAX_IN_EXPONENT = 10_000          # largest q or t exponent magnitude --in accepts
 FRACTION = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 NEGATIVE_VALUE = re.compile(r"-[0-9]")
 
@@ -196,8 +198,9 @@ def _load_symfun_json(stream) -> tuple[Partition, int, SymFun]:
 
     Any breach (a non-object, a missing key, a non-integer exponent or
     coefficient, a denominator factor that is not an [a, b] pair, an
-    exponent or a numerator ``[a, b]`` given twice) raises a one-line
-    ValueError, so ``main`` exits 2 instead of failing later.
+    exponent or a numerator ``[a, b]`` given twice, a q or t exponent past
+    ``MAX_IN_EXPONENT`` in magnitude) raises a one-line ValueError, so
+    ``main`` exits 2 instead of failing later.
     """
     try:
         obj = json.load(stream)
@@ -228,8 +231,11 @@ def _load_symfun_json(stream) -> tuple[Partition, int, SymFun]:
             rows = mono[key]
             if not isinstance(rows, list):
                 raise ValueError(f"--in: {where}.{key} must be a list")
-            for row in rows:
+            for i, row in enumerate(rows):
                 _int_list(row, f"each entry of {where}.{key}", length=width)
+                if max(abs(row[0]), abs(row[1])) > MAX_IN_EXPONENT:
+                    raise ValueError(f"--in: {where}.{key}[{i}] {row} has an exponent "
+                                     f"of magnitude over {MAX_IN_EXPONENT}")
         num = {}
         for a, b, c in mono["num"]:
             if (a, b) in num:
@@ -245,6 +251,8 @@ def cmd_verify(args) -> int:
         for flag, value in (("--q", args.q), ("--t", args.t), ("--seed", args.seed)):
             if value is not None:
                 raise ValueError(f"{flag} is read only with --oracle")
+        if args.infile and (args.per_class or args.map_properties):
+            raise ValueError("--in is read only with --oracle or with no check flag")
     points = _oracle_points(args) if args.oracle else None
     P: SymFun | None = None
     if args.infile:
@@ -256,6 +264,8 @@ def cmd_verify(args) -> int:
     else:
         lam = _parse_partition(args.lam, args.n)
         n = lam.n
+    if args.oracle:
+        check_oracle_cap(lam)
     if args.map_properties:
         _check_map_properties_cap(lam)
     report: dict = {"lambda": list(lam.parts), "n": n, "checks": [], "ok": True}
@@ -382,14 +392,14 @@ def _map_property_checks(lam: Partition, n: int):
 
     Each pair's walk term must have even fold parity, and its content must
     equal both the image filling's content and w applied to the folded
-    weight; the first odd parity ends the pair checks.  The fold plan, the
-    folded weight and the reader of the image filling
-    (``compression.image_reader``) depend on the fold set alone, so all
-    three are built once per fold set.
+    weight; the first odd parity ends the pair checks.  The fold plan, which
+    carries the folded weight ``mu``, and the reader of the image filling
+    (``compression.image_reader``) depend on the fold set alone, so both are
+    built once per fold set.
     """
     from .compression import fiber_witness, image_reader
     from .fillings import Filling, enumerate_nonattacking
-    from .ramyip import _fold_data, _walk_term_raw, folded_weight
+    from .ramyip import _fold_data, _walk_term_raw
     from .weyl import permute_weight
 
     chain = build_chain(lam)
@@ -405,16 +415,15 @@ def _map_property_checks(lam: Partition, n: int):
     for w, folds in _map_pairs(chain, n):
         key = tuple(folds)
         if key not in plans:
-            plans[key] = (_fold_data(folds, chain), folded_weight(folds, chain),
-                          image_reader(folds, chain))
-        plan, mu, image = plans[key]
+            plans[key] = (_fold_data(folds, chain), image_reader(folds, chain))
+        plan, image = plans[key]
         try:
             _, _, content = _walk_term_raw(w, plan)
         except InternalInvariantError:
             parity_ok = False
             break
         sigma = Filling(lam.parts, n, image(w))
-        same = content == sigma.content() == permute_weight(w, mu)
+        same = content == sigma.content() == permute_weight(w, plan.mu)
         content_ok = content_ok and same
         checked += 1
     yield ("fold-parity", parity_ok, f"{checked} pairs")

@@ -13,14 +13,17 @@ Fibers are computed by brute-force grouping of the whole folding-pair space.
 That is deliberate: the verifier stays independent of the column structure it
 verifies.
 
-Each class identity is decided exactly on integers.  Both sides are lifted
-to one denominator, the multiset union of the chain and diagram
+The check is one walk over the fillings' column table
+(``fillings._walk``), which yields each filling's values and packed
+statistics; the values pick the fiber and the statistics give the filling's
+term.  Each class identity is decided exactly on integers.  Both sides are
+lifted to one denominator, the multiset union of the chain and diagram
 denominators, and packed (Kronecker substitution) into one
 ``qt.PackedWindow``, fixed for the whole run by ``ClassWindow`` from the
 bounds each formula proves for its terms, so the identity holds exactly
-when two Python ints are equal.  The filling's term is never
-reduced on that path; ``RationalQT`` values are built only to render a
-failing class, or on demand.
+when two Python ints are equal.  A class result is its verdict alone; a
+``Filling`` and ``RationalQT`` values are built only to render the first
+failing class.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import itertools
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .chain import (
     InternalInvariantError,
@@ -40,14 +43,14 @@ from .chain import (
     cached_chain,
 )
 from .fillings import (
+    ColumnTable,
     Filling,
-    _filling_total,
     _term_raw,
+    _walk,
     check_filling_cap,
     column_table,
     compressed_term,
     diagram_denominator,
-    enumerate_nonattacking,
     filling_t_range,
     shape_of,
 )
@@ -70,33 +73,43 @@ from .weyl import (
 )
 
 
-def _filling_values(w: Perm, fold_list: list[int], chain: LambdaChain,
-                    shape) -> tuple[int, ...]:
-    """Reading-order values of the image filling of (w, folds).
+def _image_slots(fold_list: list[int], chain: LambdaChain) -> tuple[int, ...]:
+    """The slots of w that the image of (w, fold_list) reads, in reading order.
 
-    Reading order runs column by column, so the values are the columns'
-    entries laid end to end.
+    The filling map's column swaps move positions, not values, so the image
+    of (w, J) is w read at slots fixed by J: J's swap schedule runs once on
+    the identity.  Reading order runs column by column, so the slots are the
+    columns' entries laid end to end.
     """
-    conj = shape.conjugate
+    lam = chain.partition
+    conj = lam.conjugate
     entries = chain.entries
     roots_by_col: dict[int, list[tuple[int, int]]] = {}
     for p in fold_list:
         entry = entries[p - 1]
         roots_by_col.setdefault(entry.column, []).append(entry.root)
-    cur = list(w)
+    cur = list(range(lam.n))
     columns = []        # columns width, width - 1, ..., 1
-    for j in range(chain.partition.parts[0], 0, -1):
+    for j in range(lam.parts[0], 0, -1):
         for i, k in roots_by_col.get(j + 1, ()):
             cur[i - 1], cur[k - 1] = cur[k - 1], cur[i - 1]
         columns.append(cur[:conj[j - 1]])
     return tuple(itertools.chain.from_iterable(reversed(columns)))
 
 
+def image_reader(fold_list: list[int], chain: LambdaChain):
+    """A function taking w to the reading-order values of (w, fold_list)'s image."""
+    slots = _image_slots(fold_list, chain)
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda w: (w[slot],)
+    return itemgetter(*slots)
+
+
 def filling_map(w: Perm, folds, lam: Partition) -> Filling:
     """Image of the folding pair (w, folds) under the filling map."""
-    chain = cached_chain(lam.parts)
-    shape = shape_of(lam.parts)
-    return Filling(lam.parts, lam.n, _filling_values(w, sorted(folds), chain, shape))
+    image = image_reader(sorted(folds), cached_chain(lam.parts))
+    return Filling(lam.parts, lam.n, image(w))
 
 
 def fiber_witness(sigma: Filling, lam: Partition) -> FoldingPair:
@@ -110,8 +123,7 @@ def fiber_witness(sigma: Filling, lam: Partition) -> FoldingPair:
     guarantees both.
     """
     chain = cached_chain(lam.parts)
-    shape = sigma.shape
-    conj = shape.conjugate
+    conj = sigma.shape.conjugate
     width = lam.parts[0]
     n = lam.n
     # reading order runs column by column, so column j is one slice of values
@@ -162,8 +174,7 @@ def fiber_witness(sigma: Filling, lam: Partition) -> FoldingPair:
                 )
             positions.append(found)
     fold_list = sorted(positions)
-    image = Filling(lam.parts, n, _filling_values(w, fold_list, chain, shape))
-    if image.values != sigma.values:
+    if image_reader(fold_list, chain)(w) != values:
         raise InternalInvariantError(
             f"witness ({render_perm(w)}, {fold_list}) maps to a different filling"
         )
@@ -194,11 +205,10 @@ class ClassWindow:
     its budget, raises ``InternalInvariantError``: no packed comparison ever
     reads a wrapped digit.
 
-    The memos serve one run of ``verify_all_classes``, which clears them
-    at its end: each fold set's fold plan (``ramyip._fold_data``, which
+    The memos hold each fold set's fold plan (``ramyip._fold_data``, which
     carries the ``perm_tables`` its walk terms read) and lift, and each lift
-    by multiset.  A lazy ``ClassResult.lhs`` refills what it reads, and a
-    ``ClassResult.pairs`` read groups the fibers again, once per window.
+    by multiset.  ``verify_all_classes`` makes one window per run, so they
+    end with the run.
     """
 
     def __init__(self, chain: LambdaChain, max_fiber: int):
@@ -211,14 +221,6 @@ class ClassWindow:
             union.elements(), min(w_lo, f_lo), max(w_hi, f_hi), max_fiber)
         self._folds: dict[frozenset[int], tuple] = {}
         self._lifts: dict[tuple, int] = {}
-        self._fibers: dict[tuple[int, ...], Fiber] | None = None
-
-    def fibers(self) -> dict[tuple[int, ...], Fiber]:
-        """``group_fibers`` of the window's partition, grouped on first use."""
-        if self._fibers is None:
-            lam = self.chain.partition
-            self._fibers = group_fibers(lam, lam.n)
-        return self._fibers
 
     def fold_set(self, folds: frozenset[int]) -> tuple[FoldPlan, int]:
         """(fold plan, lift) of a fold set."""
@@ -238,43 +240,15 @@ class ClassWindow:
         return lift
 
 
-@dataclass(slots=True)
-class ClassResult:
-    """Per-fiber verification data for one nonattacking filling.
+class ClassResult(NamedTuple):
+    """The verdict of one nonattacking filling's class identity."""
 
-    ``lhs`` (the fiber sum over the window's factors, unreduced) and ``rhs`` (the
-    filling's reduced term) are built on first use, ``lhs`` through the
-    run's window; a failing class keeps the ``lhs`` its check computed.
-    The check drops each fiber once it is decided, so ``pairs`` regroups
-    the folding pairs on first use (``ClassWindow.fibers``) and ``size``
-    keeps the fiber's length.
-    """
-
-    size: int
+    size: int               # folding pairs in the fiber
     ok: bool
-    contents_ok: bool
-    sigma: Filling
-    window: ClassWindow
-    _lhs: RationalQT | None = None
-
-    @property
-    def pairs(self) -> Fiber:
-        return self.window.fibers()[self.sigma.values]
-
-    @property
-    def lhs(self) -> RationalQT:
-        if self._lhs is None:
-            total, _ = class_sum(self.pairs, self.sigma.content(), self.window)
-            self._lhs = self.window.packing.rational(total)
-        return self._lhs
-
-    @property
-    def rhs(self) -> RationalQT:
-        return compressed_term(self.sigma)[0]
+    contents_ok: bool       # every walk term of the fiber has the filling's content
 
 
-@dataclass
-class ClassReport:
+class ClassReport(NamedTuple):
     lam: tuple[int, ...]
     n: int
     total_pairs: int
@@ -282,14 +256,6 @@ class ClassReport:
     missing_fillings: list[tuple[int, ...]]
     ok: bool
     first_failure: str | None
-
-
-def _gather(slots: tuple[int, ...]):
-    """A function taking a tuple to its entries at slots, as a tuple."""
-    if len(slots) == 1:
-        (slot,) = slots
-        return lambda w: (w[slot],)
-    return itemgetter(*slots)
 
 
 class Fiber(Sequence):
@@ -326,18 +292,6 @@ class Fiber(Sequence):
         if not isinstance(other, Sequence):
             return NotImplemented
         return list(self) == list(other)
-
-
-def image_reader(fold_list: list[int], chain: LambdaChain):
-    """A function taking w to the reading-order values of (w, fold_list)'s image.
-
-    The filling map's column swaps move positions, not values, so the image
-    of (w, J) is w read at slots fixed by J; running J's swap schedule once
-    on the identity finds them.
-    """
-    lam = chain.partition
-    return _gather(_filling_values(tuple(range(lam.n)), fold_list, chain,
-                                   shape_of(lam.parts)))
 
 
 def group_fibers(lam: Partition, n: int) -> dict[tuple[int, ...], Fiber]:
@@ -398,15 +352,16 @@ def class_sum(pairs: list[FoldingPair], expected_content: tuple[int, ...],
     return total, contents_ok
 
 
-def _check_class(sigma: Filling, pairs: Sequence[FoldingPair],
-                 window: ClassWindow) -> ClassResult:
+def _check_class(table: ColumnTable, total: int, pairs: Sequence[FoldingPair],
+                 window: ClassWindow) -> tuple[ClassResult, int]:
     """The class identity of one filling, decided on packed integers.
 
-    The filling's bare term ``(num_r, den_r)``, unreduced, is lifted like
-    the walk terms, so the identity is one comparison of two ints.
+    ``total`` is the filling's packed statistics in ``table``.  Its bare
+    term ``(num_r, den_r)``, unreduced, is lifted like the walk terms, so
+    the identity is one comparison of two ints.  Returns the verdict and
+    the fiber's packed sum.
     """
-    table = column_table(sigma.parts, sigma.n, "paper")
-    num_r, den_r, content = _term_raw(table, _filling_total(table, sigma.values))
+    num_r, den_r, content = _term_raw(table, total)
     if den_r - window.diagram:
         raise InternalInvariantError(
             f"filling denominator {sorted(den_r.elements())} is not "
@@ -415,57 +370,52 @@ def _check_class(sigma: Filling, pairs: Sequence[FoldingPair],
     packing = window.packing
     rhs, weight = packing.pack(num_r, window.lift(den_r))
     packing.check_weight(weight)
-    ok = contents_ok and lhs == rhs
-    return ClassResult(len(pairs), ok, contents_ok, sigma, window,
-                       None if ok else packing.rational(lhs))
+    return ClassResult(len(pairs), contents_ok and lhs == rhs, contents_ok), lhs
 
 
 def verify_all_classes(lam: Partition, n: int) -> ClassReport:
     """Run the per-class check over every nonattacking filling.
 
-    Each class identity is one integer equality in a ``ClassWindow`` shared
-    by all fibers; ``RationalQT`` values are built only to render a failure.
+    One walk over the column table (``fillings._walk``) yields each filling's
+    values and packed statistics; each class identity is one integer
+    equality in a ``ClassWindow`` shared by all fibers.  A ``Filling`` and
+    ``RationalQT`` values are built only to render the first failure.
     """
     check_filling_cap(lam, n)
     chain = build_chain(lam)
     fibers = group_fibers(lam, n)
-    total_pairs = sum(len(v) for v in fibers.values())
+    total_pairs = sum(map(len, fibers.values()))
     window = ClassWindow(chain, max(map(len, fibers.values()), default=0))
+    table = column_table(lam.parts, n, "paper")
     classes: dict[tuple[int, ...], ClassResult] = {}
     missing: list[tuple[int, ...]] = []
     first_failure: str | None = None
-    ok = True
     # each fiber leaves the dict, and is freed, once its class is decided;
     # what is left at the end maps outside the nonattacking set
-    for sigma in enumerate_nonattacking(lam, n):
-        pairs = fibers.pop(sigma.values, None)
+    for values, total in _walk(table, table.column_tuples(0, ())):
+        pairs = fibers.pop(values, None)
         if not pairs:
-            missing.append(sigma.values)
-            ok = False
+            missing.append(values)
             if first_failure is None:
+                sigma = Filling(lam.parts, n, values)
                 first_failure = f"empty fiber for filling\n{sigma.render()}"
             continue
-        result = classes[sigma.values] = _check_class(sigma, pairs, window)
-        if not result.ok:
-            ok = False
-            if first_failure is None:
-                first_failure = render_counterexample(
-                    sigma, pairs, result.lhs, result.rhs, chain)
-    # the packed lifts take about 1 MB on (5,2,1,0); a lazy ``lhs`` rebuilds
-    # the few it reads, so the memos end with the run
-    window._folds.clear()
-    window._lifts.clear()
-    if fibers:
-        ok = False
-        if first_failure is None:
-            first_failure = f"{len(fibers)} fibers map outside the nonattacking set"
+        result, lhs = _check_class(table, total, pairs, window)
+        classes[values] = result
+        if not result.ok and first_failure is None:
+            sigma = Filling(lam.parts, n, values)
+            first_failure = render_counterexample(
+                sigma, pairs, window.packing.rational(lhs),
+                compressed_term(sigma)[0], chain)
+    if fibers and first_failure is None:
+        first_failure = f"{len(fibers)} fibers map outside the nonattacking set"
     return ClassReport(
         lam=lam.parts,
         n=n,
         total_pairs=total_pairs,
         classes=classes,
         missing_fillings=missing,
-        ok=ok,
+        ok=first_failure is None,
         first_failure=first_failure,
     )
 

@@ -34,6 +34,7 @@ from operator import mul
 
 from .chain import Partition
 from .qt import PoleError, SymFun, rational_eval_at, rational_one
+from .ramyip import TermCapExceeded, term_cap
 
 PartitionTuple = tuple[int, ...]
 SymFunQ = dict[PartitionTuple, Fraction]
@@ -58,6 +59,33 @@ def partitions_of(k: int) -> tuple[PartitionTuple, ...]:
         return out
 
     return tuple(rec(k, k))
+
+
+def check_oracle_cap(lam: Partition) -> None:
+    """Raise ``TermCapExceeded``, before any work, if p(|lambda|)^3 passes the cap.
+
+    The transition matrix and the Gram system run over the partitions of
+    |lambda|, so the elimination costs about p(|lambda|)^3.  p(j) is counted
+    up by Euler's pentagonal recurrence, and the count stops once p(j)^3
+    passes the cap: p grows with j, so a large |lambda| costs a few steps.
+    """
+    cap = term_cap()
+    k = lam.size
+    p = [1]
+    while len(p) <= k:
+        j = len(p)
+        # p(j) = sum over g >= 1 of (-1)^(g+1) (p(j - g(3g-1)/2) + p(j - g(3g+1)/2))
+        total, g, pent = 0, 1, 1
+        while pent <= j:
+            sign = 1 if g % 2 else -1
+            total += sign * (p[j - pent] + (p[j - pent - g] if pent + g <= j else 0))
+            g += 1
+            pent = g * (3 * g - 1) // 2
+        p.append(total)
+        if total ** 3 > cap:
+            raise TermCapExceeded(
+                f"the oracle's work of p({k})^3 for lambda = {lam.parts} "
+                f"exceeds the term cap {cap}")
 
 
 def dominance_le(mu: PartitionTuple, lam: PartitionTuple) -> bool:

@@ -97,6 +97,32 @@ def test_filling_paths_exit_3_before_any_work(capsys, argv):
     assert err.count("\n") == 1 and "term cap" in err
 
 
+@pytest.mark.parametrize("source", ["--lambda", "--in"])
+def test_oracle_exits_3_before_any_work_past_the_cap(capsys, monkeypatch, tmp_path,
+                                                     source):
+    # p(20)^3 = 627^3 passes the default cap 2^26; p(18)^3 = 385^3 does not
+    import macdonald.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the oracle cap was checked")
+
+    monkeypatch.setattr(cli, "_compute", no_work)
+    monkeypatch.setattr(cli, "check_specializations", no_work)
+    if source == "--lambda":
+        argv = ["verify", "--oracle", "--lambda", "20,0"]
+    else:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"lambda": [20, 0], "n": 2, "monomials": [
+            {"exp": [20, 0], "num": [[0, 0, 1]], "den": []}]}))
+        argv = ["verify", "--oracle", "--in", str(path)]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == ("error: the oracle's work of p(20)^3 for lambda = (20, 0) "
+                   "exceeds the term cap 67108864\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "--formula", "ram-yip", "--lambda", "100000,0"],
     ["compute", "--formula", "ram-yip", "--lambda", "100000,0", "--verbose"],
@@ -621,3 +647,54 @@ def test_verify_input_fuzz_never_escapes_main(doc):
         assert err.getvalue().count("\n") == 1
     else:
         assert json.loads(out.getvalue())["ok"] is (code == 0)
+
+
+@pytest.mark.parametrize("flag", ["--per-class", "--map-properties"])
+def test_verify_input_with_a_check_flag_needs_the_oracle(capsys, monkeypatch,
+                                                         tmp_path, flag):
+    # these checks recompute from lambda alone, so the input would pass unread
+    import macdonald.cli as cli
+
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"lambda": [3, 2, 1, 0], "n": 4, "monomials": [
+        {"exp": [3, 2, 1, 0], "num": [[0, 0, 7]], "den": []}]}))
+    with monkeypatch.context() as patch:
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --in was refused")
+
+        for name in ("verify_all_classes", "_map_property_checks", "_compute"):
+            patch.setattr(cli, name, no_work)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["verify", flag, "--in", str(path)])
+        assert time.perf_counter() - start < 1
+    assert (code, out, err) == (
+        2, "", "error: --in is read only with --oracle or with no check flag\n")
+    # with the oracle the input is read, and fails
+    code, out, _ = run_cli(capsys, ["verify", flag, "--oracle", "--in", str(path)])
+    assert code == 1 and json.loads(out)["ok"] is False
+
+
+@pytest.mark.parametrize("key, entry, bound", [
+    ("num", [3_000_000, 0, 1], [10_000, 0, 1]),
+    ("num", [0, -10_001, 1], [0, -10_000, 1]),
+    ("den", [1, 10_001], [1, 10_000]),
+])
+def test_verify_input_with_a_huge_exponent_exits_2(capsys, tmp_path, key, entry,
+                                                   bound):
+    # the oracle raises q0 and t0 to these powers as Fractions
+    path = tmp_path / "in.json"
+    second = {"exp": [0, 1], "num": [[0, 0, 1]], "den": []}
+    doc = {"lambda": [1, 0], "n": 2, "monomials": [
+        {"exp": [1, 0], "num": [[0, 0, 1]], "den": []}, {**second, key: [entry]}]}
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["verify", "--oracle", "--in", str(path)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: --in: monomials[1].{key}[0] {entry} has an exponent "
+                   f"of magnitude over 10000\n")
+    # the bound itself is accepted, and the wrong coefficient then fails
+    doc["monomials"][1][key] = [bound]
+    path.write_text(json.dumps(doc))
+    code, _, _ = run_cli(capsys, ["verify", "--oracle", "--in", str(path)])
+    assert code == 1

@@ -2,9 +2,12 @@
 
 import random
 
+import pytest
+
 from macdonald.chain import Partition, build_chain
 import macdonald.compression as compression
 from macdonald.compression import (
+    ClassResult,
     ClassWindow,
     class_sum,
     fiber_witness,
@@ -12,8 +15,8 @@ from macdonald.compression import (
     group_fibers,
     verify_all_classes,
 )
-from macdonald.fillings import Filling, enumerate_nonattacking
-from macdonald.qt import RationalQT, rational_reduce, rational_str
+from macdonald.fillings import Filling, compressed_term, enumerate_nonattacking
+from macdonald.qt import PackedWindow, RationalQT, rational_reduce, rational_str
 from macdonald.ramyip import FoldingPair, folded_weight
 from macdonald.weyl import all_perms, permute_weight
 
@@ -123,11 +126,16 @@ def test_verify_class_p20_by_hand():
     report = verify_all_classes(lam, 2)
     # sigma = (1,2): sigma(1,1)=1, sigma(1,2)=2 -> fiber {(21,{1})}
     assert fibers[(1, 2)] == [FoldingPair((2, 1), frozenset({1}))]
-    assert report.classes[(1, 2)].ok
+    assert report.classes[(1, 2)] == ClassResult(1, True, True)
     # sigma = (1,1): fiber {(12, {})}, class sum 1
     assert fibers[(1, 1)] == [FoldingPair((1, 2), frozenset())]
-    assert report.classes[(1, 1)].ok
-    assert report.classes[(1, 1)].lhs == RationalQT({(0, 0): 1}, [])
+    assert report.classes[(1, 1)] == ClassResult(1, True, True)
+    window = ClassWindow(build_chain(lam), 1)
+    total, contents_ok = class_sum(fibers[(1, 1)], (2, 0), window)
+    assert contents_ok
+    assert window.packing.rational(total) == RationalQT({(0, 0): 1}, [])
+    assert compressed_term(Filling(lam.parts, 2, (1, 1))) == (
+        RationalQT({(0, 0): 1}, []), (2, 0))
 
 
 def test_verify_all_classes_small():
@@ -149,16 +157,22 @@ def test_verify_all_classes_3210():
 def test_shared_lift_memo_matches_fresh_memo_per_fiber():
     lam = Partition((3, 2, 1, 0))
     chain = build_chain(lam)
+    fibers = group_fibers(lam, 4)
     report = verify_all_classes(lam, 4)
     assert len(report.classes) == 288
-    for values, result in report.classes.items():
-        content = Filling(lam.parts, 4, values).content()
-        fresh = ClassWindow(chain, len(result.pairs))
-        total, contents_ok = class_sum(result.pairs, content, fresh)
+    # one window for every fiber, as the check shares it
+    shared = ClassWindow(chain, max(map(len, fibers.values())))
+    for values, pairs in fibers.items():
+        rhs, content = compressed_term(Filling(lam.parts, 4, values))
+        fresh = ClassWindow(chain, len(pairs))
+        total, contents_ok = class_sum(pairs, content, fresh)
         lhs = fresh.packing.rational(total)
-        assert (lhs.num, lhs.den) == (result.lhs.num, result.lhs.den)
-        assert contents_ok == result.contents_ok
-        assert lhs == result.rhs and result.ok
+        shared_total, shared_ok = class_sum(pairs, content, shared)
+        shared_lhs = shared.packing.rational(shared_total)
+        assert (lhs.num, lhs.den) == (shared_lhs.num, shared_lhs.den)
+        assert contents_ok and shared_ok
+        assert lhs == rhs
+        assert report.classes[values] == ClassResult(len(pairs), True, True)
 
 
 def test_corrupted_walk_terms_fail_their_class(monkeypatch):
@@ -178,15 +192,22 @@ def test_corrupted_walk_terms_fail_their_class(monkeypatch):
     monkeypatch.setattr(compression, "_walk_term_raw", corrupted)
     report = verify_all_classes(lam, 4)
     assert not report.ok
-    result = report.classes[values]
-    assert not result.ok and result.contents_ok
+    assert report.classes[values] == ClassResult(2, False, True)
     assert sum(not c.ok for c in report.classes.values()) == 1
-    negated_rhs = {m: -c for m, c in result.rhs.num.items()}
-    assert result.lhs == RationalQT(negated_rhs, result.rhs.den)
-    reduced = rational_str(rational_reduce(result.lhs))
-    assert reduced != rational_str(result.lhs)
-    assert report.first_failure.startswith("class identity failed for filling:")
-    assert f"fiber sum      = {reduced}\n" in report.first_failure
+    # the corrupted fiber sum, summed outside the check
+    sigma = Filling(lam.parts, 4, values)
+    rhs, content = compressed_term(sigma)
+    window = ClassWindow(build_chain(lam), len(pairs))
+    total, contents_ok = class_sum(pairs, content, window)
+    lhs = window.packing.rational(total)
+    assert contents_ok
+    assert lhs == RationalQT({m: -c for m, c in rhs.num.items()}, rhs.den)
+    reduced = rational_str(rational_reduce(lhs))
+    assert reduced != rational_str(lhs)
+    assert report.first_failure.startswith(
+        f"class identity failed for filling:\n{sigma.render()}\n"
+        f"fiber sum      = {reduced}\n"
+        f"filling term   = {rational_str(rhs)}\n")
 
 
 def test_corrupted_filling_terms_fail_every_class(monkeypatch):
@@ -206,9 +227,27 @@ def test_corrupted_filling_terms_fail_every_class(monkeypatch):
     assert report.first_failure.startswith("class identity failed for filling:")
 
 
-def test_passing_classes_build_no_rational_values():
-    report = verify_all_classes(Partition((3, 2, 1, 0)), 4)
-    assert all(c.ok and c._lhs is None for c in report.classes.values())
+def test_passing_classes_build_no_rational_values(monkeypatch):
+    lam = Partition((3, 2, 1, 0))
+
+    def never(*args, **kwargs):
+        raise AssertionError("the check built a rational value")
+
+    monkeypatch.setattr(PackedWindow, "rational", never)
+    monkeypatch.setattr(compression, "compressed_term", never)
+    report = verify_all_classes(lam, 4)
+    assert report.ok and len(report.classes) == 288
+    assert all(c.ok for c in report.classes.values())
+    # a failing class does build them, to render its counterexample
+    real = compression._term_raw
+
+    def corrupted(table, total):
+        num, den, content = real(table, total)
+        return {m: 7 * c for m, c in num.items()}, den, content
+
+    monkeypatch.setattr(compression, "_term_raw", corrupted)
+    with pytest.raises(AssertionError, match="built a rational value"):
+        verify_all_classes(lam, 4)
 
 
 def test_verify_class_decides_on_the_packed_identity(monkeypatch):

@@ -11,7 +11,11 @@ terms were built from fold plans.  The compressed output of the fill shape
 the emitter rendered each distinct coefficient once.  The ``verify`` pins
 (the oracle at seeded, explicit, pole and singular points, and the per-class
 report of the benchmark's shape) were recorded at commit 1ed5ead, before the
-oracle's elimination ran on integer rows.
+oracle's elimination ran on integer rows.  The ``--map-properties`` reports
+and the per-class failure reports under two corruptions (every filling term
+times 7; the walk terms of one two-pair fiber negated) were recorded at
+commit 23cd5c5, before the per-class check ran in one pass over the column
+walk and its class results kept only their verdicts.
 """
 
 import contextlib
@@ -20,7 +24,10 @@ import io
 
 import pytest
 
+import macdonald.compression as compression
+from macdonald.chain import Partition
 from macdonald.cli import main
+from macdonald.ramyip import FoldingPair
 
 GOLDEN = {
     ((4, 0), "ram-yip", "json"): "f7744688115a99dea9dc754d737717e1efba3653e1fe3f2de6ec6ebce5086fa4",
@@ -120,6 +127,12 @@ VERIFY_GOLDEN = {
         ("da7fa62fafafd2a50bcfa933223f8fcca1ee7587273a7835e60cc22d570c092f", 1),
     ("--per-class", "--lambda", "5,2,1,0"):
         ("ac08abc8ef02d02884633e7344c7c4ad7127afae11b21e6dd222086545e6af41", 0),
+    ("--map-properties", "--lambda", "3,2,1,0"):
+        ("f56ff7e7d69e521117d2b662e9b1df3956847e59b41ff3e6916aa9e60c9dc450", 0),
+    ("--map-properties", "--lambda", "5,3,1,0"):
+        ("ba8fc268f95589dc779baf594915d19af0beace48581ececd84acce2c373e2ac", 0),
+    ("--map-properties", "--lambda", "4,3,2,1,0"):
+        ("52716fe0e72aace228f0f96bcce424dec4ee268002bb95c4e60c6a00cec5c612", 0),
 }
 
 
@@ -130,3 +143,46 @@ def test_verify_stdout_and_exit_code_match_golden(args):
         code = main(["verify", *args])
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert (digest, code) == VERIFY_GOLDEN[args]
+
+
+def _filling_terms_times_7(monkeypatch):
+    real = compression._term_raw
+
+    def corrupted(table, total):
+        num, den, content = real(table, total)
+        return {m: 7 * c for m, c in num.items()}, den, content
+
+    monkeypatch.setattr(compression, "_term_raw", corrupted)
+
+
+def _two_pair_fiber_negated(monkeypatch):
+    pairs = list(compression.group_fibers(Partition((3, 2, 1, 0)), 4)[
+        (1, 2, 3, 1, 2, 4)])
+    real = compression._walk_term_raw
+
+    def corrupted(w, plan):
+        num, den, content = real(w, plan)
+        if FoldingPair(w, frozenset(plan.folds)) in pairs:
+            num = {m: -c for m, c in num.items()}
+        return num, den, content
+
+    monkeypatch.setattr(compression, "_walk_term_raw", corrupted)
+
+
+FAILURE_GOLDEN = {
+    _filling_terms_times_7:
+        ("4a65d845824860fad429adc323e75d106ca7343e0dd5a91b11ccc414a11c527d", 1),
+    _two_pair_fiber_negated:
+        ("98df2dc0d2fba2ed4c32467213b829d11121d449d5e1dd74b424a43eaac69761", 1),
+}
+
+
+@pytest.mark.parametrize("corrupt", list(FAILURE_GOLDEN),
+                         ids=lambda corrupt: corrupt.__name__.strip("_"))
+def test_per_class_failure_report_matches_golden(monkeypatch, corrupt):
+    corrupt(monkeypatch)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["verify", "--per-class", "--lambda", "3,2,1,0"])
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert (digest, code) == FAILURE_GOLDEN[corrupt]

@@ -14,6 +14,7 @@ from macdonald.oracle import (
     _invert,
     _solve,
     _z,
+    check_oracle_cap,
     check_specializations,
     dominance_le,
     macdonald_oracle,
@@ -23,12 +24,31 @@ from macdonald.oracle import (
     schur_oracle,
 )
 from macdonald.qt import PoleError, rational_add, rational_one
-from macdonald.ramyip import ram_yip_sum
+from macdonald.ramyip import TermCapExceeded, ram_yip_sum
 
 
 def test_partitions_of():
     assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     assert len(partitions_of(7)) == 15
+
+
+@pytest.mark.parametrize("k", range(1, 26))
+def test_oracle_cap_counts_the_partitions_of_lambda(monkeypatch, k):
+    # the cap refuses exactly the shapes with p(|lambda|)^3 past it
+    lam = Partition((k, 0))
+    cube = len(partitions_of(k)) ** 3
+    monkeypatch.setenv("MACDONALD_TERM_CAP", str(cube))
+    check_oracle_cap(lam)
+    monkeypatch.setenv("MACDONALD_TERM_CAP", str(cube - 1))
+    with pytest.raises(TermCapExceeded, match=rf"p\({k}\)\^3"):
+        check_oracle_cap(lam)
+
+
+def test_oracle_cap_admits_lambda_up_to_18_by_default(monkeypatch):
+    monkeypatch.delenv("MACDONALD_TERM_CAP", raising=False)
+    check_oracle_cap(Partition((18, 0)))
+    with pytest.raises(TermCapExceeded):
+        check_oracle_cap(Partition((19, 0)))
 
 
 def test_dominance():

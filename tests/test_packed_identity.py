@@ -87,13 +87,18 @@ def test_small_shapes_cover_every_row_count():
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(SHAPES), st.data())
 def test_packed_verdict_equals_rational_equality_on_true_fibers(lam, data):
+    chain = build_chain(lam)
     fibers = group_fibers(lam, lam.n)
     values = data.draw(st.sampled_from(sorted(fibers)))
     sigma = Filling(lam.parts, lam.n, values)
-    assert reference_verdict(sigma, fibers[values], build_chain(lam))
+    pairs = fibers[values]
+    assert reference_verdict(sigma, pairs, chain)
     report = verify_all_classes(lam, lam.n)
     assert report.ok and report.classes[values].ok
-    assert report.classes[values].lhs == report.classes[values].rhs
+    window = ClassWindow(chain, len(pairs))
+    rhs, content = compressed_term(sigma)
+    total, contents_ok = class_sum(pairs, content, window)
+    assert contents_ok and window.packing.rational(total) == rhs
 
 
 @settings(max_examples=80, deadline=None)
@@ -106,6 +111,8 @@ def test_packed_verdict_equals_rational_equality_on_perturbed_fibers(
     fibers = group_fibers(lam, lam.n)
     values = data.draw(st.sampled_from(sorted(fibers)))
     sigma = Filling(lam.parts, lam.n, values)
+    table = column_table(lam.parts, lam.n, "paper")
+    total = _filling_total(table, values)
     pairs = fibers[values]
     target = data.draw(st.sampled_from(pairs))
     # room for one coefficient of 2 in the fiber
@@ -147,7 +154,7 @@ def test_packed_verdict_equals_rational_equality_on_perturbed_fibers(
         patch = mock.patch.object(compression, "_fold_data", fold_data)
     with patch:
         want = reference_verdict(sigma, pairs, chain)
-        assert _check_class(sigma, pairs, window).ok == want
+        assert _check_class(table, total, pairs, window)[0].ok == want
 
 
 def _sum_mapped_fiber(window, num_map) -> None:
