@@ -17,6 +17,7 @@ bookkeeping is the easiest place for an off-by-one to hide.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
@@ -58,14 +59,10 @@ class Partition:
             )
         self.parts = parts
         self.n = len(parts)
-        width = parts[0]
-        self.conjugate = tuple(
-            sum(1 for p in parts if p >= j) for j in range(1, width + 1)
-        )
-        if self.conjugate and self.conjugate[0] != self.n - 1:
-            raise InternalInvariantError(
-                f"conjugate head {self.conjugate} != n-1 for {parts}"
-            )
+        # lambda'_j = k for lambda_{k+1} < j <= lambda_k: one run per part
+        self.conjugate = tuple(itertools.chain.from_iterable(
+            itertools.repeat(k, parts[k - 1] - parts[k])
+            for k in range(self.n - 1, 0, -1)))
 
     @property
     def size(self) -> int:
@@ -133,6 +130,22 @@ class LambdaChain:
 
     def __iter__(self) -> Iterator[ChainEntry]:
         return iter(self.entries)
+
+
+def chain_length(parts: tuple[int, ...]) -> int:
+    """m, the length of the chain of ``parts``, from the parts alone.
+
+    The columns of conjugate height k < n-1 are lambda_{k+1} < j <= lambda_k,
+    each with k(n-k) roots, less one per row (k) in the leftmost, trimmed
+    one.  The columns of height n-1 are 2 .. lambda_{n-1}, each with n-1
+    roots; the leftmost of that height, column 1, is not in the chain.  So
+    the term cap is checked before a chain, linear in lambda_1, is built.
+    """
+    n = len(parts)
+    m = (parts[n - 2] - 1) * (n - 1)
+    for k in range(1, n - 1):
+        m += (parts[k - 1] - parts[k]) * k * (n - k) - k
+    return m
 
 
 def build_chain(partition: Partition) -> LambdaChain:

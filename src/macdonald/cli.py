@@ -165,7 +165,7 @@ def cmd_compute(args) -> int:
     lam = _parse_partition(args.lam, args.n)
     if args.verbose:
         if args.formula == "ram-yip":
-            size = f"{check_term_cap(build_chain(lam))} folding pairs"
+            size = f"{check_term_cap(lam)} folding pairs"
         else:
             size = f"{parallel_count(lam, lam.n, 'paper')} fillings"
         print(f"evaluating {size} for {lam.parts} with {args.jobs} worker(s)",
@@ -251,11 +251,13 @@ def cmd_verify(args) -> int:
         for flag, value in (("--q", args.q), ("--t", args.t), ("--seed", args.seed)):
             if value is not None:
                 raise ValueError(f"{flag} is read only with --oracle")
-        if args.infile and (args.per_class or args.map_properties):
+        if args.infile is not None and (args.per_class or args.map_properties):
             raise ValueError("--in is read only with --oracle or with no check flag")
     points = _oracle_points(args) if args.oracle else None
     P: SymFun | None = None
-    if args.infile:
+    if args.infile is not None:
+        if not args.infile:
+            raise ValueError("--in needs a file name, or '-' for stdin")
         if args.infile == "-":
             lam, n, P = _load_symfun_json(sys.stdin)
         else:
@@ -289,7 +291,7 @@ def cmd_verify(args) -> int:
         add("per-class", class_report.ok, detail)
         add(
             "fibers-partition",
-            class_report.total_pairs == folding_pair_count(build_chain(lam))
+            class_report.total_pairs == folding_pair_count(lam)
             and not class_report.missing_fillings,
             f"{class_report.total_pairs} pairs over "
             f"{len(class_report.classes)} fibers",
@@ -376,7 +378,7 @@ def _map_pairs(chain, n: int):
 
     m = chain.m
     perms = all_perms(n)
-    if folding_pair_count(chain) <= MAP_EXHAUSTIVE_PAIRS:
+    if folding_pair_count(chain.partition) <= MAP_EXHAUSTIVE_PAIRS:
         for w in perms:
             for mask in range(1 << m):
                 yield w, [p for p in range(1, m + 1) if mask >> (p - 1) & 1]
@@ -464,10 +466,9 @@ def cmd_table(args) -> int:
         lam = Partition(parts)
         if args.verbose:
             print(f"counting fillings for {parts} ...", file=sys.stderr)
-        chain = build_chain(lam)
         t_count = parallel_count(lam, n, "paper")
         hhl_count = parallel_count(lam, n, "hhl")
-        ry_terms = folding_pair_count(chain)
+        ry_terms = folding_pair_count(lam)
         c_factor = _format_1dp_half_up(Fraction(ry_terms, t_count))
         r_factor = _format_1dp_half_up(Fraction(hhl_count, t_count))
         cells = (
@@ -494,16 +495,16 @@ def cmd_bench(args) -> int:
         return result
 
     chain = timed("build-chain", lambda: build_chain(lam))
-    print(f"  m = {chain.m}, folding pairs = {folding_pairs_text(chain)}")
+    print(f"  m = {chain.m}, folding pairs = {folding_pairs_text(lam)}")
     t_count = timed("count-paper", lambda: parallel_count(lam, n, "paper"))
     print(f"  t(lambda) = {t_count}")
     timed("count-hhl", lambda: parallel_count(lam, n, "hhl"))
     try:
-        check_term_cap(chain)
+        check_term_cap(lam)
     except TermCapExceeded:
         print("ram-yip: skipped (term cap)")
         return EXIT_OK
-    pairs = folding_pair_count(chain)
+    pairs = folding_pair_count(lam)
     if pairs <= BENCH_RAM_YIP_PAIRS:
         timed("ram-yip", lambda: ram_yip_sum(lam, n, jobs=args.jobs))
     else:
@@ -590,6 +591,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
     try:
         args.jobs = resolve_jobs(args.jobs)
+        term_cap()          # a malformed cap exits 2 on every command
         return args.func(args)
     except TermCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -300,8 +300,8 @@ def group_fibers(lam: Partition, n: int) -> dict[tuple[int, ...], Fiber]:
     Each fold set's ``image_reader`` and shared frozenset are built once;
     every w is then read through the readers.
     """
+    check_term_cap(lam)
     chain = build_chain(lam)
-    check_term_cap(chain)
     m = chain.m
     gathers, fold_sets = [], []
     for mask in range(1 << m):
@@ -382,8 +382,8 @@ def verify_all_classes(lam: Partition, n: int) -> ClassReport:
     ``RationalQT`` values are built only to render the first failure.
     """
     check_filling_cap(lam, n)
-    chain = build_chain(lam)
     fibers = group_fibers(lam, n)
+    chain = build_chain(lam)
     total_pairs = sum(map(len, fibers.values()))
     window = ClassWindow(chain, max(map(len, fibers.values()), default=0))
     table = column_table(lam.parts, n, "paper")

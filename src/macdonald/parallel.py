@@ -19,6 +19,7 @@ from multiprocessing import get_context
 
 from .chain import Partition, build_chain
 from .fillings import (
+    check_filling_cap,
     column_prefixes,
     compressed_shard,
     count_nonattacking,
@@ -83,9 +84,8 @@ def _ry_worker(args) -> dict[Content, int]:
 
 def parallel_ram_yip_sum(lam: Partition, n: int, jobs: int) -> SymFun:
     """The walk sum over the permutations, split into up to jobs shards."""
-    chain = build_chain(lam)
-    check_term_cap(chain)
-    window = walk_window(chain)
+    check_term_cap(lam)
+    window = walk_window(build_chain(lam))
     return _sum_shards(window, _ry_worker, [(lam.parts, s, window)
                                             for s in _chunks(all_perms(n), jobs)])
 
@@ -98,8 +98,9 @@ def _fill_worker(args) -> dict[Content, int]:
 def parallel_compressed_sum(lam: Partition, n: int, jobs: int) -> SymFun:
     """The filling sum over the first columns, split into up to jobs shards.
 
-    ``filling_window`` counts the fillings, so it checks the filling cap.
+    The filling cap is checked from the parts, before any shape is built.
     """
+    check_filling_cap(lam, n)
     window = filling_window(lam, n)
     return _sum_shards(window, _fill_worker,
                        [(lam.parts, n, s, window)

@@ -29,9 +29,10 @@ Three layers:
     dict arithmetic, done at C speed.  Each distinct sum is unpacked and
     reduced once: the contents of one S_n orbit end with equal sums, since
     P_lambda is symmetric, and share one reduced coefficient object.
-    ``PackedWindow.lift`` is the one lift to the shared
-    denominator: the accumulator and the per-class check in
-    ``compression`` both lift through it.
+    ``PackedWindow.lift`` is the one lift to the shared denominator and
+    ``PackedWindow.offset`` the one placement of a monomial, checked
+    against the window: the accumulator and the per-class check in
+    ``compression`` both lift and place through them.
 
 Every term of both formulas has the shape
 
@@ -40,8 +41,10 @@ Every term of both formulas has the shape
 for a sub-multiset D of a fixed denominator, so a term is passed around
 "bare": the monomial q^a t^b plus the multiset D, with the factor
 (1 - t)^|D| left implicit.  ``term_value`` turns one bare term into its
-reduced RationalQT; ``ContentAccumulator`` sums many of them, lifting each
-(D, content) class to the common denominator once rather than once per term.
+reduced RationalQT; ``ContentAccumulator`` sums many of them.  It builds
+the lift of each pending D once, shifts it once per distinct monomial, and
+adds the shifted copy into every content that holds that monomial over D, so
+a sum costs one big-int addition per (D, content, monomial) entry.
 
 All values are treated as immutable; every operation returns fresh objects,
 so they are safe to share across worker processes and between contents.
@@ -432,8 +435,9 @@ class PackedWindow(NamedTuple):
     ints are equal exactly when their polynomials are, as long as no row
     wraps into the next and no digit overflows.  ``bounded`` is the one
     constructor: it fixes the window once, before any term is packed, from
-    proven bounds on the numerators, and ``check_monomial`` and
-    ``check_weight`` hold every numerator to those bounds.
+    proven bounds on the numerators, and ``offset`` (the slot of every
+    monomial that is packed) and ``check_weight`` hold every numerator to
+    those bounds.
     """
 
     factors: tuple[DenomFactor, ...]    # the shared denominator, sorted
@@ -465,19 +469,31 @@ class PackedWindow(NamedTuple):
         return cls(factors, t_lo, t_hi, t_hi + lift_tdeg - t_lo + 1, bits,
                    1 << (bits - 1 - len(factors)))
 
+    def offset(self, a: int, b: int) -> int:
+        """The bit offset of q^a t^b's slot; raises outside the window.
+
+        This is the one place a monomial is placed, so every numerator that
+        is packed has been held to the window's bounds.
+        """
+        if a < 0 or not self.t_lo <= b <= self.t_hi:
+            raise InternalInvariantError(
+                f"numerator q^{a} t^{b} outside the packed window "
+                f"(q >= 0, t in {self.t_lo}..{self.t_hi})")
+        return self.bits * (a * self.span + b - self.t_lo)
+
     def pack(self, num: Laurent, lift: int) -> tuple[int, int]:
         """``num * lift`` packed, and the weight of ``num``.
 
-        ``lift`` is a packed lift (see ``lift``); each monomial of
-        ``num`` shifts it to its slot, after ``check_monomial``.
+        ``lift`` is a packed lift (see ``lift``); each monomial of ``num``
+        shifts it to its slot (``offset``), and only a coefficient other
+        than 1 multiplies it.
         """
-        t_lo, t_hi, span, bits = self.t_lo, self.t_hi, self.span, self.bits
+        offset = self.offset
         value = weight = 0
         for (a, b), c in num.items():
-            if a < 0 or not t_lo <= b <= t_hi:
-                self.check_monomial(a, b)
+            shifted = lift << offset(a, b)
+            value += shifted if c == 1 else shifted * c
             weight += abs(c)
-            value += (lift * c) << bits * (a * span + b - t_lo)
         return value, weight
 
     def lift(self, den: dict[DenomFactor, int]) -> int:
@@ -513,12 +529,6 @@ class PackedWindow(NamedTuple):
         """A packed numerator over the shared factors, unreduced."""
         return RationalQT(self.unpack(value), self.factors)
 
-    def check_monomial(self, a: int, b: int) -> None:
-        if a < 0 or not self.t_lo <= b <= self.t_hi:
-            raise InternalInvariantError(
-                f"numerator q^{a} t^{b} outside the packed window "
-                f"(q >= 0, t in {self.t_lo}..{self.t_hi})")
-
     def check_weight(self, weight: int) -> None:
         if weight >= self.budget:
             raise InternalInvariantError(
@@ -537,24 +547,27 @@ class ContentAccumulator:
     ``content``.  The group of each ``den`` object is memoised by identity
     until the next flush, so callers that pass one shared multiset for many
     terms freeze it into a key once; ``den`` must not be changed after it is
-    passed.  ``flush`` lifts each group once, by ``(1-t)^|den|`` times the
-    binomials of the shared denominator that ``den`` lacks
-    (``PackedWindow.lift``), into the per-content sums; ``finalize`` flushes
-    first, and ``add_lifted`` adds a sum packed in the same window, such as
-    a shard's (``parallel._merge_into``).
+    passed.  ``flush`` builds each group's lift once, ``(1-t)^|den|`` times
+    the binomials of the shared denominator that ``den`` lacks
+    (``PackedWindow.lift``), and shifts it once per distinct monomial of the
+    group: every content holding that monomial adds the one shifted copy,
+    times its coefficient when that is not 1.  ``finalize`` flushes first,
+    and ``add_lifted`` adds a sum packed in the same window, such as a
+    shard's (``parallel._merge_into``).
 
     Each content's lifted sum is one integer packed in ``window`` (``packed``),
     a ``PackedWindow`` fixed at construction from the formula's proven
     bounds (``ramyip.walk_window``, ``fillings.filling_window``).  A lift is
     built by ``x -= x << shift`` per binomial, and a numerator monomial adds
-    the lift times its coefficient, shifted to its slot, all C-level integer
-    arithmetic.  Each flush checks every numerator monomial against the
-    window, and the running weight of the flushed coefficients against its
-    budget, so a digit never wraps unnoticed.  Sums stay packed until
-    ``finalize``; they are the same integers whatever the term order, flush
-    points or sharding.  ``finalize`` unpacks and reduces each distinct sum
-    once, and the contents that carry it (an orbit, for a symmetric
-    expansion) share the one reduced object.
+    the lift shifted to its slot, all C-level integer arithmetic.  Each
+    flush checks every numerator monomial against the window the first time
+    its group shifts to it (``PackedWindow.offset``), and the running weight
+    of the flushed coefficients, ``|c|`` summed over every (group, content,
+    monomial) entry, against the budget, so a digit never wraps unnoticed.
+    Sums stay packed until ``finalize``; they are the same integers whatever
+    the term order, flush points or sharding.  ``finalize`` unpacks and
+    reduces each distinct sum once, and the contents that carry it (an
+    orbit, for a symmetric expansion) share the one reduced object.
     """
 
     def __init__(self, window: PackedWindow):
@@ -580,18 +593,35 @@ class ContentAccumulator:
         slot = group.get(content)
         if slot is None:
             group[content] = dict(num)
-        else:
-            _add_into(slot, num)
+            return
+        for m, c in num.items():
+            c += slot.get(m, 0)
+            if c:
+                slot[m] = c
+            else:
+                slot.pop(m, None)
 
     def flush(self) -> None:
-        """Lift every pending (den, content) group into the per-content sums."""
+        """Lift every pending (den, content) group into the per-content sums.
+
+        Each group's lift is built once and shifted once per distinct
+        monomial of the group; the group's contents share those shifted
+        lifts, and only a coefficient other than 1 multiplies one.
+        """
         window, packed, weight = self.window, self.packed, self.weight
+        offset = window.offset
         for key, group in self._groups.items():
             lift = window.lift(dict(key))
+            shifted: dict[Monomial, int] = {}
             for content, num in group.items():
-                value, num_weight = window.pack(num, lift)
-                packed[content] = packed.get(content, 0) + value
-                weight += num_weight
+                value = packed.get(content, 0)
+                for m, c in num.items():
+                    s = shifted.get(m)
+                    if s is None:
+                        s = shifted[m] = lift << offset(*m)
+                    value += s if c == 1 else s * c
+                    weight += abs(c)
+                packed[content] = value
         window.check_weight(weight)
         self.weight = weight
         self._groups.clear()

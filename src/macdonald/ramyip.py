@@ -28,7 +28,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .chain import InternalInvariantError, LambdaChain, Partition
+from .chain import InternalInvariantError, LambdaChain, Partition, chain_length
 from .qt import (
     Content,
     ContentAccumulator,
@@ -54,31 +54,48 @@ class TermCapExceeded(RuntimeError):
 
 
 def term_cap() -> int:
+    """``MACDONALD_TERM_CAP``, else ``DEFAULT_TERM_CAP``; a non-negative integer."""
     raw = os.environ.get("MACDONALD_TERM_CAP", "")
-    return int(raw) if raw else DEFAULT_TERM_CAP
+    if not raw:
+        return DEFAULT_TERM_CAP
+    try:
+        cap = int(raw)
+        if cap < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"MACDONALD_TERM_CAP must be a non-negative integer, got {raw!r}") from None
+    return cap
 
 
-def folding_pair_count(chain: LambdaChain) -> int:
-    """2^m * n!: every fold subset of the chain with every permutation."""
-    return (1 << chain.m) * math.factorial(chain.partition.n)
+def folding_pair_count(lam: Partition) -> int:
+    """2^m * n!: every fold subset of the chain with every permutation.
+
+    m is read from the parts (``chain_length``), so no chain is built.
+    """
+    return (1 << chain_length(lam.parts)) * math.factorial(lam.n)
 
 
-def folding_pairs_text(chain: LambdaChain) -> str:
+def folding_pairs_text(lam: Partition) -> str:
     """The folding-pair count 2^m * n!, written as that formula past 1024 bits.
 
     Python refuses to convert an int of over 4300 digits to text.
     """
-    n = chain.partition.n
-    total = folding_pair_count(chain)
-    return str(total) if total.bit_length() <= 1024 else f"2^{chain.m} * {n}!"
+    total = folding_pair_count(lam)
+    return (str(total) if total.bit_length() <= 1024
+            else f"2^{chain_length(lam.parts)} * {lam.n}!")
 
 
-def check_term_cap(chain: LambdaChain) -> int:
-    total = folding_pair_count(chain)
+def check_term_cap(lam: Partition) -> int:
+    """The folding-pair count of ``lam``; raises past the term cap.
+
+    It needs only the parts, so it runs before the chain is built.
+    """
+    total = folding_pair_count(lam)
     cap = term_cap()
     if total > cap:
         raise TermCapExceeded(
-            f"{folding_pairs_text(chain)} folding pairs exceed the term cap {cap}")
+            f"{folding_pairs_text(lam)} folding pairs exceed the term cap {cap}")
     return total
 
 
@@ -266,7 +283,7 @@ def walk_window(chain: LambdaChain) -> PackedWindow:
     monomial with coefficient 1.
     """
     return PackedWindow.bounded(chain_denominator(chain), *walk_t_range(chain),
-                                folding_pair_count(chain))
+                                folding_pair_count(chain.partition))
 
 
 def walk_shard(chain: LambdaChain, perms: list[Perm],
@@ -279,8 +296,8 @@ def walk_shard(chain: LambdaChain, perms: list[Perm],
     (``_fold_data``); the lengths and weight readers of the permutations come
     with it, from ``perm_tables``.  Fold sets with equal multisets are
     walked together, over every permutation, and the accumulator is flushed
-    after each such batch: it holds one pending group at a time and lifts it
-    once per content.
+    after each such batch: it holds one pending group at a time, builds its
+    lift once and shifts that once per distinct monomial.
     """
     factors = chain_denominator(chain)
     acc = ContentAccumulator(window)

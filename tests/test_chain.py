@@ -1,11 +1,14 @@
 """Construction of the column-factored root chain."""
 
+import itertools
+
 import pytest
 
 from macdonald.chain import (
     NonRegularError,
     Partition,
     build_chain,
+    chain_length,
     column_roots,
     column_roots_trimmed,
     render_chain,
@@ -26,6 +29,16 @@ def test_partition_validation():
 def test_conjugate():
     assert Partition((4, 3, 1, 0)).conjugate == (3, 2, 2, 1)
     assert Partition((5, 4, 2, 1, 0)).conjugate == (4, 3, 2, 2, 1)
+
+
+def test_conjugate_from_runs_and_chain_length_from_parts():
+    for n in range(2, 6):
+        for body in itertools.combinations(range(7, 0, -1), n - 1):
+            parts = body + (0,)
+            lam = Partition(parts)
+            assert lam.conjugate == tuple(
+                sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
+            assert chain_length(parts) == build_chain(lam).m
 
 
 def test_column_roots():

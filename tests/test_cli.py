@@ -129,12 +129,41 @@ def test_oracle_exits_3_before_any_work_past_the_cap(capsys, monkeypatch, tmp_pa
     ["verify", "--lambda", "100000,0"],
 ])
 def test_walk_paths_exit_3_on_a_wide_shape(capsys, argv):
-    # the walk paths build the chain (linear in lambda_1) before the cap check
+    # the walk paths check the folding pairs from the parts, before the chain
     start = time.perf_counter()
     code, out, err = run_cli(capsys, argv)
     assert time.perf_counter() - start < 10
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and "2^99999 * 2! folding pairs" in err
+
+
+WIDE = "1000000,0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--formula", "compressed", "--lambda", WIDE],
+    ["compute", "--formula", "compressed", "--lambda", WIDE, "--verbose"],
+    ["compute", "--formula", "ram-yip", "--lambda", WIDE],
+    ["compute", "--formula", "ram-yip", "--lambda", WIDE, "--verbose"],
+    ["count", "--lambda", WIDE],
+    ["verify", "--lambda", WIDE],
+    ["verify", "--per-class", "--lambda", WIDE],
+    ["bench", "--lambda", WIDE],
+])
+def test_caps_are_checked_before_any_chain_or_shape(capsys, monkeypatch, argv):
+    # a chain or a shape is linear in lambda_1; the caps read the parts
+    import macdonald
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a chain or a shape was built before the cap check")
+
+    for module in vars(macdonald).values():
+        for name in ("build_chain", "shape_of"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_work)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "term cap" in err
 
 
 def test_table_respects_term_cap(capsys, monkeypatch):
@@ -360,6 +389,20 @@ def test_jobs_env_var_not_an_integer_exits_2(capsys, monkeypatch):
     assert err.count("\n") == 1 and "MACDONALD_JOBS" in err
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5", "1.5"])
+@pytest.mark.parametrize("argv", [
+    ["chain", "--lambda", "2,1,0"],
+    ["count", "--lambda", "3,2,1,0"],
+    ["compute", "--lambda", "2,1,0", "--formula", "ram-yip"],
+])
+def test_term_cap_env_var_not_a_count_exits_2(capsys, monkeypatch, raw, argv):
+    monkeypatch.setenv("MACDONALD_TERM_CAP", raw)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: MACDONALD_TERM_CAP must be a non-negative integer, "
+                   f"got {raw!r}\n")
+
+
 def test_jobs_clamped_to_cpu_count_before_any_pool(capsys, monkeypatch):
     import macdonald.parallel
 
@@ -536,6 +579,13 @@ def _verify_input_text(capsys, tmp_path, text):
     path = tmp_path / "in.json"
     path.write_text(text)
     return run_cli(capsys, ["verify", "--in", str(path)])
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle"], ["--lambda", "2,1,0"]])
+def test_verify_empty_input_name_exits_2(capsys, extra):
+    code, out, err = run_cli(capsys, ["verify", "--in", ""] + extra)
+    assert (code, out) == (2, "")
+    assert err == "error: --in needs a file name, or '-' for stdin\n"
 
 
 def test_verify_input_that_is_not_an_object_exits_2(capsys, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import macdonald.qt as qt
+from macdonald.chain import InternalInvariantError
 from macdonald.cli import main
 from macdonald.parallel import _merge_into
 from macdonald.qt import (
@@ -414,31 +415,44 @@ def _packed_sums(window, batches):
 
 PACK_FACTORS = [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (3, 0), (0, 2)]
 CANCEL = (9, 9)                     # the content whose terms cancel exactly
-coefficients = st.one_of(st.integers(-300, 300).filter(bool),
+coefficients = st.one_of(st.sampled_from([1, -1]),
+                         st.integers(-300, 300).filter(bool),
                          st.integers(-(1 << 70), 1 << 70).filter(bool))
 slacks = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1 << 80))
 
 
 @st.composite
 def packed_cases(draw):
+    """Batches of terms over a few (den, monomial) pairs shared by contents.
+
+    Each batch draws a handful of denominators and monomials, and its terms
+    pick from them, so one group's contents share monomials, and a term
+    may carry several monomials.
+    """
     shared = draw(st.lists(st.sampled_from(PACK_FACTORS), max_size=5))
+
+    def sub_multiset():
+        picks = draw(st.lists(st.booleans(), min_size=len(shared),
+                              max_size=len(shared)))
+        return Counter(f for f, keep in zip(shared, picks) if keep)
+
     batches = []
     for _ in range(draw(st.integers(1, 4))):
         # each batch moves its exponents, so the window spans all batches
         dq, dt = draw(st.integers(0, 6)), draw(st.integers(-9, 9))
+        dens = [sub_multiset() for _ in range(draw(st.integers(1, 3)))]
+        monos = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(-2, 2)),
+                              min_size=1, max_size=4))
         batch = []
-        for _ in range(draw(st.integers(0, 6))):
+        for _ in range(draw(st.integers(0, 8))):
             content = draw(st.sampled_from([(2, 0), (1, 1), (0, 2)]))
-            mono = (draw(st.integers(0, 4)) + dq, draw(st.integers(-2, 2)) + dt)
-            picks = draw(st.lists(st.booleans(), min_size=len(shared),
-                                  max_size=len(shared)))
-            den = Counter(f for f, keep in zip(shared, picks) if keep)
-            batch.append((content, {mono: draw(coefficients)}, den))
+            picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3,
+                                   unique=True))
+            num = {(a + dq, b + dt): draw(coefficients) for a, b in picked}
+            batch.append((content, num, draw(st.sampled_from(dens))))
         batches.append(batch)
     if draw(st.booleans()):
-        picks = draw(st.lists(st.booleans(), min_size=len(shared),
-                              max_size=len(shared)))
-        den = Counter(f for f, keep in zip(shared, picks) if keep)
+        den = sub_multiset()
         c = draw(coefficients)
         batches[draw(st.integers(0, len(batches) - 1))].append(
             (CANCEL, {(1, -3): c}, den))
@@ -452,6 +466,15 @@ def packed_cases(draw):
                             [((2, 0), {(3, -7): -(1 << 70)}, Counter([(0, 1)]))]]),
          (0, 0, 0))
 @example(([], [[((2, 0), {(0, 0): 200}, Counter())]]), (0, 0, 0))
+# three contents share q t over one denominator, with coefficients 1, 7, -1
+# and -7, and a content's terms cancel inside one flush
+@example(([(1, 1), (2, 1)], [[((2, 0), {(1, 1): 1, (0, 0): 7}, Counter([(1, 1)])),
+                              ((1, 1), {(1, 1): 7}, Counter([(1, 1)])),
+                              ((0, 2), {(1, 1): -1}, Counter([(1, 1)])),
+                              ((0, 2), {(0, 0): -7}, Counter([(1, 1)])),
+                              (CANCEL, {(1, 1): 5, (0, 0): 1}, Counter([(1, 1)])),
+                              (CANCEL, {(1, 1): -5, (0, 0): -1}, Counter([(1, 1)]))]]),
+         (0, 0, 0))
 def test_packed_accumulator_matches_dict_reference(case, slack):
     shared, batches = case
     terms = [term for batch in batches for term in batch]
@@ -460,6 +483,19 @@ def test_packed_accumulator_matches_dict_reference(case, slack):
     assert got == want
     if any(content == CANCEL for content, _, _ in terms):
         assert got[CANCEL] == {}
+
+
+@pytest.mark.parametrize("outside", [(0, 1), (0, -1), (-1, 0)])
+def test_accumulator_checks_a_monomial_seen_only_in_a_later_content(outside):
+    # the group's first content holds only in-window monomials; the second
+    # adds one outside the window, which must raise, not wrap a digit
+    acc = ContentAccumulator(PackedWindow.bounded([(1, 1)], 0, 0, 4))
+    den = Counter([(1, 1)])
+    acc.add((1, 0), {(0, 0): 1}, den)
+    acc.add((0, 1), {(0, 0): 1}, den)
+    acc.add((0, 1), {outside: 1}, den)
+    with pytest.raises(InternalInvariantError, match="outside the packed window"):
+        acc.flush()
 
 
 @settings(max_examples=100, deadline=None)
