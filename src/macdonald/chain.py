@@ -40,7 +40,7 @@ class Partition:
     of every weight in play is fixed at |lambda|.
     """
 
-    __slots__ = ("parts", "n", "conjugate")
+    __slots__ = ("parts", "n", "_conjugate")
 
     def __init__(self, parts: Sequence[int], n: int | None = None):
         parts = tuple(int(p) for p in parts)
@@ -59,10 +59,29 @@ class Partition:
             )
         self.parts = parts
         self.n = len(parts)
-        # lambda'_j = k for lambda_{k+1} < j <= lambda_k: one run per part
-        self.conjugate = tuple(itertools.chain.from_iterable(
-            itertools.repeat(k, parts[k - 1] - parts[k])
-            for k in range(self.n - 1, 0, -1)))
+        self._conjugate: tuple[int, ...] | None = None
+
+    def conjugate_runs(self) -> Iterator[tuple[int, int]]:
+        """``(k, count)`` per run of the conjugate, column 1 first.
+
+        lambda'_j = k for lambda_{k+1} < j <= lambda_k, so the conjugate is
+        one run per nonzero part; a run is read off two parts, whatever
+        lambda_1 is.
+        """
+        parts = self.parts
+        return ((k, parts[k - 1] - parts[k]) for k in range(self.n - 1, 0, -1))
+
+    @property
+    def conjugate(self) -> tuple[int, ...]:
+        """lambda'_1, ..., lambda'_{lambda_1}, built on first use.
+
+        It is lambda_1 long, so nothing reads it before the caps, which read
+        the parts or ``conjugate_runs``.
+        """
+        if self._conjugate is None:
+            self._conjugate = tuple(itertools.chain.from_iterable(
+                itertools.repeat(k, count) for k, count in self.conjugate_runs()))
+        return self._conjugate
 
     @property
     def size(self) -> int:

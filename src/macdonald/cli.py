@@ -21,6 +21,8 @@ from .chain import (
     NonRegularError,
     Partition,
     build_chain,
+    cached_chain,
+    chain_length,
     render_chain,
 )
 from .compression import verify_all_classes
@@ -38,6 +40,7 @@ from .qt import (
 from .ramyip import (
     TermCapExceeded,
     check_term_cap,
+    fold_mask,
     folding_pair_count,
     folding_pairs_text,
     ram_yip_sum,
@@ -155,6 +158,9 @@ def _emit_symfun(P: SymFun, lam: Partition, n: int, out: str) -> None:
 
 def cmd_chain(args) -> int:
     lam = _parse_partition(args.lam, args.n)
+    m, cap = chain_length(lam.parts), term_cap()
+    if m > cap:
+        raise TermCapExceeded(f"a chain of {m} positions exceeds the term cap {cap}")
     chain = build_chain(lam)
     print(render_chain(chain))
     print(f"m = {chain.m}")
@@ -371,7 +377,11 @@ def _check_map_properties_cap(lam: Partition) -> None:
 
 
 def _map_pairs(chain, n: int):
-    """Every folding pair if there are few enough, else seeded samples."""
+    """Every folding pair if there are few enough, else seeded samples.
+
+    A pair is ``(w, mask)``, its fold set the set bits of ``mask``
+    (``ramyip.fold_list`` and ``fold_mask``).
+    """
     import random
 
     from .weyl import all_perms
@@ -381,12 +391,12 @@ def _map_pairs(chain, n: int):
     if folding_pair_count(chain.partition) <= MAP_EXHAUSTIVE_PAIRS:
         for w in perms:
             for mask in range(1 << m):
-                yield w, [p for p in range(1, m + 1) if mask >> (p - 1) & 1]
+                yield w, mask
     else:
         rng = random.Random(0)
         for _ in range(MAP_SAMPLES):
             w = rng.choice(perms)
-            yield w, sorted(rng.sample(range(1, m + 1), rng.randint(0, m)))
+            yield w, fold_mask(rng.sample(range(1, m + 1), rng.randint(0, m)))
 
 
 def _map_property_checks(lam: Partition, n: int):
@@ -395,16 +405,15 @@ def _map_property_checks(lam: Partition, n: int):
     Each pair's walk term must have even fold parity, and its content must
     equal both the image filling's content and w applied to the folded
     weight; the first odd parity ends the pair checks.  The fold plan, which
-    carries the folded weight ``mu``, and the reader of the image filling
-    (``compression.image_reader``) depend on the fold set alone, so both are
-    built once per fold set.
+    carries the folded weight ``mu`` and the image filling's reader, depends
+    on the fold set alone, so it is built once per mask.
     """
-    from .compression import fiber_witness, image_reader
+    from .compression import fiber_witness
     from .fillings import Filling, enumerate_nonattacking
-    from .ramyip import _fold_data, _walk_term_raw
+    from .ramyip import _fold_data, _Memo, _walk_term_raw, fold_list
     from .weyl import permute_weight
 
-    chain = build_chain(lam)
+    chain = cached_chain(lam.parts)
     yield (
         "multiplicity-arm",
         all(e.mult == lam.parts[e.root[0] - 1] - (e.column - 1) for e in chain),
@@ -413,18 +422,15 @@ def _map_property_checks(lam: Partition, n: int):
     parity_ok = True
     content_ok = True
     checked = 0
-    plans: dict[tuple[int, ...], tuple] = {}
-    for w, folds in _map_pairs(chain, n):
-        key = tuple(folds)
-        if key not in plans:
-            plans[key] = (_fold_data(folds, chain), image_reader(folds, chain))
-        plan, image = plans[key]
+    plans = _Memo(lambda mask: _fold_data(fold_list(mask), chain))
+    for w, mask in _map_pairs(chain, n):
+        plan = plans[mask]
         try:
             _, _, content = _walk_term_raw(w, plan)
         except InternalInvariantError:
             parity_ok = False
             break
-        sigma = Filling(lam.parts, n, image(w))
+        sigma = Filling(lam.parts, n, plan.image(w))
         same = content == sigma.content() == permute_weight(w, plan.mu)
         content_ok = content_ok and same
         checked += 1

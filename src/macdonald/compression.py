@@ -7,7 +7,10 @@ decreasing j).  The filling map sets column j of the filling to the first
 lambda'_j entries of pi_j.  Its image is exactly the nonattacking fillings,
 and summing walk coefficients over a fiber reproduces the corresponding
 compressed-formula term; checking that identity class by class is the
-per-class verification below.
+per-class verification below.  The map runs the walk's own swap schedule,
+so a fold set's plan (``ramyip._fold_data``) compiles it: ``plan.image``
+reads the filling of (w, J) off w, for the map, the witness round trip and
+the grouping alike.
 
 Fibers are computed by brute-force grouping of the whole folding-pair space.
 That is deliberate: the verifier stays independent of the column structure it
@@ -32,14 +35,12 @@ import itertools
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from operator import itemgetter
 from typing import NamedTuple
 
 from .chain import (
     InternalInvariantError,
     LambdaChain,
     Partition,
-    build_chain,
     cached_chain,
 )
 from .fillings import (
@@ -62,6 +63,7 @@ from .ramyip import (
     _walk_term_raw,
     chain_denominator,
     check_term_cap,
+    fold_list,
     walk_t_range,
 )
 from .weyl import (
@@ -73,43 +75,10 @@ from .weyl import (
 )
 
 
-def _image_slots(fold_list: list[int], chain: LambdaChain) -> tuple[int, ...]:
-    """The slots of w that the image of (w, fold_list) reads, in reading order.
-
-    The filling map's column swaps move positions, not values, so the image
-    of (w, J) is w read at slots fixed by J: J's swap schedule runs once on
-    the identity.  Reading order runs column by column, so the slots are the
-    columns' entries laid end to end.
-    """
-    lam = chain.partition
-    conj = lam.conjugate
-    entries = chain.entries
-    roots_by_col: dict[int, list[tuple[int, int]]] = {}
-    for p in fold_list:
-        entry = entries[p - 1]
-        roots_by_col.setdefault(entry.column, []).append(entry.root)
-    cur = list(range(lam.n))
-    columns = []        # columns width, width - 1, ..., 1
-    for j in range(lam.parts[0], 0, -1):
-        for i, k in roots_by_col.get(j + 1, ()):
-            cur[i - 1], cur[k - 1] = cur[k - 1], cur[i - 1]
-        columns.append(cur[:conj[j - 1]])
-    return tuple(itertools.chain.from_iterable(reversed(columns)))
-
-
-def image_reader(fold_list: list[int], chain: LambdaChain):
-    """A function taking w to the reading-order values of (w, fold_list)'s image."""
-    slots = _image_slots(fold_list, chain)
-    if len(slots) == 1:
-        (slot,) = slots
-        return lambda w: (w[slot],)
-    return itemgetter(*slots)
-
-
 def filling_map(w: Perm, folds, lam: Partition) -> Filling:
     """Image of the folding pair (w, folds) under the filling map."""
-    image = image_reader(sorted(folds), cached_chain(lam.parts))
-    return Filling(lam.parts, lam.n, image(w))
+    plan = _fold_data(sorted(folds), cached_chain(lam.parts))
+    return Filling(lam.parts, lam.n, plan.image(w))
 
 
 def fiber_witness(sigma: Filling, lam: Partition) -> FoldingPair:
@@ -173,16 +142,16 @@ def fiber_witness(sigma: Filling, lam: Partition) -> FoldingPair:
                     f"of the chain for {lam.parts}"
                 )
             positions.append(found)
-    fold_list = sorted(positions)
-    if image_reader(fold_list, chain)(w) != values:
+    folds = sorted(positions)
+    if _fold_data(folds, chain).image(w) != values:
         raise InternalInvariantError(
-            f"witness ({render_perm(w)}, {fold_list}) maps to a different filling"
+            f"witness ({render_perm(w)}, {folds}) maps to a different filling"
         )
-    return FoldingPair(w, frozenset(fold_list))
+    return FoldingPair(w, frozenset(folds))
 
 
 class ClassWindow:
-    """The packed window and the memos shared by the fibers of one check.
+    """The packed window and the lift memos shared by the fibers of one check.
 
     A class identity says that the fiber's walk terms, each a bare term
     ``num * (1-t)^|den| / prod(den)``, sum to the filling's bare term over
@@ -205,30 +174,21 @@ class ClassWindow:
     its budget, raises ``InternalInvariantError``: no packed comparison ever
     reads a wrapped digit.
 
-    The memos hold each fold set's fold plan (``ramyip._fold_data``, which
-    carries the ``perm_tables`` its walk terms read) and lift, and each lift
-    by multiset.  ``verify_all_classes`` makes one window per run, so they
-    end with the run.
+    The memos hold each lift by multiset, and each fold set's lift by its
+    mask (``Fiber``), for the fibers of one ``group_fibers`` table.
+    ``verify_all_classes`` makes one window per run, so they end with the
+    run.
     """
 
     def __init__(self, chain: LambdaChain, max_fiber: int):
-        self.chain = chain
         shape = shape_of(chain.partition.parts)
         self.diagram = Counter(diagram_denominator(shape))
         union = Counter(chain_denominator(chain)) | self.diagram
         (w_lo, w_hi), (f_lo, f_hi) = walk_t_range(chain), filling_t_range(shape)
         self.packing = PackedWindow.bounded(
             union.elements(), min(w_lo, f_lo), max(w_hi, f_hi), max_fiber)
-        self._folds: dict[frozenset[int], tuple] = {}
+        self.mask_lifts: dict[int, int] = {}
         self._lifts: dict[tuple, int] = {}
-
-    def fold_set(self, folds: frozenset[int]) -> tuple[FoldPlan, int]:
-        """(fold plan, lift) of a fold set."""
-        entry = self._folds.get(folds)
-        if entry is None:
-            plan = _fold_data(sorted(folds), self.chain)
-            entry = self._folds[folds] = (plan, self.lift(plan.den))
-        return entry
 
     def lift(self, den: Counter) -> int:
         """``PackedWindow.lift(den)``, memoised by multiset."""
@@ -249,8 +209,6 @@ class ClassResult(NamedTuple):
 
 
 class ClassReport(NamedTuple):
-    lam: tuple[int, ...]
-    n: int
     total_pairs: int
     classes: dict[tuple[int, ...], ClassResult]
     missing_fillings: list[tuple[int, ...]]
@@ -262,22 +220,25 @@ class Fiber(Sequence):
     """The folding pairs of one filling, in enumeration order, one code each.
 
     The code of (w, J) is ``i << m | mask``: w is the i-th permutation of
-    the table's ``perms`` and J is ``fold_sets[mask]``, the fold set whose
-    positions are the set bits of ``mask``.  An ``array`` holds 8 bytes a
-    pair, where a list of ``FoldingPair`` objects holds about 60; a pair's
-    ``FoldingPair`` is built when it is read.  A fiber equals any sequence
-    of the same pairs in the same order.
+    the table's ``perms`` and J the fold set whose positions are the set
+    bits of ``mask`` (``ramyip.fold_list``), compiled once as the table's
+    ``plans[mask]``.  An ``array`` holds 8 bytes a pair, where a list of
+    ``FoldingPair`` objects holds about 60; the class sum reads the codes
+    directly, and a pair's ``FoldingPair`` is built only when it is read,
+    to render it.  A fiber equals any sequence of the same pairs in the
+    same order.
     """
 
     __slots__ = ("codes", "table")
 
-    def __init__(self, table: tuple[list[Perm], list[frozenset[int]], int]):
+    def __init__(self, table: tuple[list[Perm], list[FoldPlan], int]):
         self.codes = array("Q")
         self.table = table
 
     def _pair(self, code: int) -> FoldingPair:
-        perms, fold_sets, m = self.table
-        return FoldingPair(perms[code >> m], fold_sets[code & ((1 << m) - 1)])
+        perms, plans, m = self.table
+        return FoldingPair(perms[code >> m],
+                           frozenset(plans[code & ((1 << m) - 1)].folds))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -297,25 +258,21 @@ class Fiber(Sequence):
 def group_fibers(lam: Partition, n: int) -> dict[tuple[int, ...], Fiber]:
     """All folding pairs grouped by image filling, in enumeration order.
 
-    Each fold set's ``image_reader`` and shared frozenset are built once;
-    every w is then read through the readers.
+    Each fold set's plan (``ramyip._fold_data``) is compiled once, into the
+    fibers' shared table; every w is then read through the plans' ``image``.
     """
     check_term_cap(lam)
-    chain = build_chain(lam)
+    chain = cached_chain(lam.parts)
     m = chain.m
-    gathers, fold_sets = [], []
-    for mask in range(1 << m):
-        fold_list = [p for p in range(1, m + 1) if mask >> (p - 1) & 1]
-        gathers.append(image_reader(fold_list, chain))
-        # copied from a set, a frozenset takes the set's smaller hash table
-        fold_sets.append(frozenset(set(fold_list)))
+    plans = [_fold_data(fold_list(mask), chain) for mask in range(1 << m)]
+    images = [plan.image for plan in plans]
     perms = all_perms(n)
-    table = (perms, fold_sets, m)
+    table = (perms, plans, m)
     out: dict[tuple[int, ...], Fiber] = {}
     for i, w in enumerate(perms):
         code = i << m
-        for gather in gathers:
-            values = gather(w)
+        for image in images:
+            values = image(w)
             fiber = out.get(values)
             if fiber is None:
                 fiber = out[values] = Fiber(table)
@@ -324,27 +281,34 @@ def group_fibers(lam: Partition, n: int) -> dict[tuple[int, ...], Fiber]:
     return out
 
 
-def class_sum(pairs: list[FoldingPair], expected_content: tuple[int, ...],
+def class_sum(fiber: Fiber, expected_content: tuple[int, ...],
               window: ClassWindow) -> tuple[int, bool]:
     """Sum of walk coefficients over a fiber, plus a content-match flag.
 
-    Every walk term of the fiber is built and its content checked; the terms
-    of the expected content are summed over the window's factors, each bare
+    Every walk term of the fiber is built, from its code's permutation and
+    fold plan in the fiber's table, and its content checked; the terms of
+    the expected content are summed over the window's factors, each bare
     term lifted by its fold set's lift (``ClassWindow``).  The sum is one
     packed integer of ``window.packing``: each term adds its lift shifted to
-    its monomial.  A fold set's fold plan (``ramyip._fold_data``) and lift
-    are memoised by the window, which ``verify_all_classes`` shares among
-    all of its fibers.
+    its monomial.  The lifts are memoised by mask in the window, which
+    ``verify_all_classes`` shares among all of its fibers.
     """
+    perms, plans, m = fiber.table
+    low = (1 << m) - 1
+    lifts = window.mask_lifts
     packing = window.packing
     total = weight = 0
     contents_ok = True
-    for pair in pairs:
-        plan, lift = window.fold_set(pair.folds)
-        num, _den, content = _walk_term_raw(pair.w, plan)
+    for code in fiber.codes:
+        mask = code & low
+        plan = plans[mask]
+        num, _den, content = _walk_term_raw(perms[code >> m], plan)
         if content != expected_content:
             contents_ok = False
             continue
+        lift = lifts.get(mask)
+        if lift is None:
+            lift = lifts[mask] = window.lift(plan.den)
         value, num_weight = packing.pack(num, lift)
         total += value
         weight += num_weight
@@ -352,7 +316,7 @@ def class_sum(pairs: list[FoldingPair], expected_content: tuple[int, ...],
     return total, contents_ok
 
 
-def _check_class(table: ColumnTable, total: int, pairs: Sequence[FoldingPair],
+def _check_class(table: ColumnTable, total: int, pairs: Fiber,
                  window: ClassWindow) -> tuple[ClassResult, int]:
     """The class identity of one filling, decided on packed integers.
 
@@ -383,7 +347,7 @@ def verify_all_classes(lam: Partition, n: int) -> ClassReport:
     """
     check_filling_cap(lam, n)
     fibers = group_fibers(lam, n)
-    chain = build_chain(lam)
+    chain = cached_chain(lam.parts)
     total_pairs = sum(map(len, fibers.values()))
     window = ClassWindow(chain, max(map(len, fibers.values()), default=0))
     table = column_table(lam.parts, n, "paper")
@@ -410,8 +374,6 @@ def verify_all_classes(lam: Partition, n: int) -> ClassReport:
     if fibers and first_failure is None:
         first_failure = f"{len(fibers)} fibers map outside the nonattacking set"
     return ClassReport(
-        lam=lam.parts,
-        n=n,
         total_pairs=total_pairs,
         classes=classes,
         missing_fillings=missing,

@@ -225,13 +225,16 @@ def check_filling_cap(lam: Partition, n: int) -> int:
 
     Under either attack convention the cells of a column attack each other,
     so a nonattacking filling is column-injective and there are at most
-    prod_j n!/(n - lambda'_j)! of them.  Returns that bound; stops
-    multiplying as soon as it passes the cap.
+    prod_j n!/(n - lambda'_j)! of them.  Returns that bound.  It is one
+    power per run of the conjugate (``Partition.conjugate_runs``), and it
+    stops as soon as the product passes the cap.  Each factor is at least
+    2, so a run as long as the cap's bit length passes it alone: no power
+    is formed for a run as long as a huge lambda_1.
     """
     cap = term_cap()
     total = 1
-    for height in lam.conjugate:
-        total *= math.perm(n, height)
+    for height, count in lam.conjugate_runs():
+        total *= math.perm(n, height) ** min(count, cap.bit_length())
         if total > cap:
             raise TermCapExceeded(
                 f"more than {cap} column-injective fillings of {lam.parts} "

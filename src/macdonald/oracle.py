@@ -353,10 +353,6 @@ class CheckEntry:
 
 @dataclass
 class SpecializationReport:
-    lam: tuple[int, ...]
-    n: int
-    seed: int | None
-    points: list[tuple[str, str]] = field(default_factory=list)
     checks: list[CheckEntry] = field(default_factory=list)
 
     @property
@@ -401,7 +397,7 @@ def check_specializations(P: SymFun, lam: Partition, n: int,
                           points: list[tuple[Fraction, Fraction]] | None = None,
                           ) -> SpecializationReport:
     """Symmetry, monicity, oracle agreement, and the Schur specialization."""
-    report = SpecializationReport(lam=lam.parts, n=n, seed=seed)
+    report = SpecializationReport()
 
     problems = _symmetry_failures(P, n)
     report.add("symmetry", not problems, "; ".join(problems))
@@ -424,7 +420,6 @@ def check_specializations(P: SymFun, lam: Partition, n: int,
             mu: rational_eval_at(coef, q0, t0) for mu, coef in collected.items()
         }
         got = {mu: v for mu, v in got.items() if v != 0}
-        report.points.append((str(q0), str(t0)))
         if got == expected:
             report.add(name, True)
         else:
@@ -438,7 +433,6 @@ def check_specializations(P: SymFun, lam: Partition, n: int,
             try:
                 oracle_check(q0, t0)
             except (PoleError, OracleSingular) as exc:
-                report.points.append((str(q0), str(t0)))
                 report.add(f"oracle@({q0},{t0})", False, str(exc))
     else:
         # a drawn point may hit a pole or a singular Gram matrix; redraw

@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from multiprocessing import get_context
 
-from .chain import Partition, build_chain
+from .chain import Partition, cached_chain
 from .fillings import (
     check_filling_cap,
     column_prefixes,
@@ -79,13 +79,17 @@ def _sum_shards(window: PackedWindow, worker, tasks: list) -> SymFun:
 
 def _ry_worker(args) -> dict[Content, int]:
     parts, perms, window = args
-    return walk_shard(build_chain(Partition(parts)), perms, window).packed
+    return walk_shard(cached_chain(parts), perms, window).packed
 
 
 def parallel_ram_yip_sum(lam: Partition, n: int, jobs: int) -> SymFun:
-    """The walk sum over the permutations, split into up to jobs shards."""
+    """The walk sum over the permutations, split into up to jobs shards.
+
+    The chain is built once, by ``cached_chain``: the in-process shard reads
+    the parent's, and a forked worker inherits it.
+    """
     check_term_cap(lam)
-    window = walk_window(build_chain(lam))
+    window = walk_window(cached_chain(lam.parts))
     return _sum_shards(window, _ry_worker, [(lam.parts, s, window)
                                             for s in _chunks(all_perms(n), jobs)])
 

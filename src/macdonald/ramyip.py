@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .chain import InternalInvariantError, LambdaChain, Partition, chain_length
 from .qt import (
@@ -79,24 +79,29 @@ def folding_pair_count(lam: Partition) -> int:
 def folding_pairs_text(lam: Partition) -> str:
     """The folding-pair count 2^m * n!, written as that formula past 1024 bits.
 
-    Python refuses to convert an int of over 4300 digits to text.
+    Python refuses to convert an int of over 4300 digits to text, and 2^m
+    is not formed past that: n! << m has m + len(n!) bits.
     """
-    total = folding_pair_count(lam)
-    return (str(total) if total.bit_length() <= 1024
-            else f"2^{chain_length(lam.parts)} * {lam.n}!")
+    m = chain_length(lam.parts)
+    if m + math.factorial(lam.n).bit_length() <= 1024:
+        return str(folding_pair_count(lam))
+    return f"2^{m} * {lam.n}!"
 
 
 def check_term_cap(lam: Partition) -> int:
     """The folding-pair count of ``lam``; raises past the term cap.
 
-    It needs only the parts, so it runs before the chain is built.
+    It needs only the parts, so it runs before the chain is built; 2^m
+    alone passes the cap once m reaches the cap's bit length, so the count
+    is formed only below that.
     """
-    total = folding_pair_count(lam)
     cap = term_cap()
-    if total > cap:
-        raise TermCapExceeded(
-            f"{folding_pairs_text(lam)} folding pairs exceed the term cap {cap}")
-    return total
+    if chain_length(lam.parts) < cap.bit_length():
+        total = folding_pair_count(lam)
+        if total <= cap:
+            return total
+    raise TermCapExceeded(
+        f"{folding_pairs_text(lam)} folding pairs exceed the term cap {cap}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +150,7 @@ def folded_weight(folds, chain: LambdaChain) -> Weight:
 
 
 class FoldPlan(NamedTuple):
-    """Everything a walk term needs from its fold set, compiled once.
+    """Everything a walk term, or the filling map, needs from a fold set.
 
     The walk multiplies w on the right by the folded transpositions in
     position order.  Those swaps move positions, not values, so the running
@@ -154,41 +159,71 @@ class FoldPlan(NamedTuple):
     k, and the fold is negative (an ascent, weighted q^l t^h) exactly when
     ``w[a] < w[b]``.  ``steps`` holds ``a, b, l, h`` for each fold in order,
     as one flat tuple (one tuple per fold would cost an object per fold held),
-    and ``final`` reads w*phi off w.  The part of a term that depends on w
-    alone is read from ``perm_tables(n)``, which ``lengths`` and ``readers``
-    hold.
+    and ``final`` reads w*phi off w.  The filling map runs the same swap
+    schedule, column by column, so ``image`` reads the filling of (w, J) off
+    w too.  The part of a term that depends on w alone is read from
+    ``perm_tables(n)``, which ``lengths`` and ``readers`` hold.
     """
 
     mu: Weight                  # lambda reflected at the folded positions
     den: Counter                # the denominator multiset, shared by the set's terms
     steps: tuple[int, ...]      # a, b, mult, height per fold, 0-based positions
     final: itemgetter           # w -> w*phi
+    image: Callable[[Perm], tuple[int, ...]]    # w -> the filling's values, read in order
     k: int                      # the number of folds
     folds: tuple[int, ...]      # the folded positions, increasing
     lengths: dict[Perm, int]    # perm_tables(n)
     readers: dict[Perm, itemgetter]
 
 
-def _fold_data(fold_list: list[int], chain: LambdaChain) -> FoldPlan:
+def fold_list(mask: int) -> list[int]:
+    """The fold positions a mask encodes, increasing: bit p - 1 is position p."""
+    return [p for p in range(1, mask.bit_length() + 1) if mask >> (p - 1) & 1]
+
+
+def fold_mask(folds) -> int:
+    """The mask of a fold set, the inverse of ``fold_list``."""
+    return sum(1 << (p - 1) for p in folds)
+
+
+def _fold_data(folds: list[int], chain: LambdaChain) -> FoldPlan:
     """The fold plan of an increasing fold list: every part of a walk term but w.
 
     ``pos`` starts as the identity and takes each fold's swap, so the
     running permutation is ``w`` read at ``pos``; a partition has n >= 2
-    parts, so ``final`` returns a tuple.
+    parts, so ``final`` returns a tuple.  The chain runs through columns
+    lambda_1 down to 2, and column j of the image is the first lambda'_j
+    entries of the running permutation before the first fold of a column
+    j or lower; those prefixes of ``pos``, column 1 first, are the slots
+    ``image`` reads, as a tuple even for one cell.
     """
-    entries = [chain.entries[p - 1] for p in fold_list]
-    n = chain.partition.n
-    pos = list(range(n))
+    entries = [chain.entries[p - 1] for p in folds]
+    lam = chain.partition
+    conj = lam.conjugate
+    pos = list(range(lam.n))
     steps: list[int] = []
+    # image columns lambda_1 down to j + 1, each prefix reversed, so that one
+    # reverse at the end puts column 1 first and every column in row order
+    slots: list[int] = []
+    j = lam.parts[0]
     for entry in entries:
+        col = entry.column
+        while col <= j:
+            slots += pos[conj[j - 1] - 1::-1]
+            j -= 1
         i, k = entry.root
         a, b = pos[i - 1], pos[k - 1]
         steps += (a, b, entry.mult, entry.height)
         pos[i - 1], pos[k - 1] = b, a
+    for col in range(j, 0, -1):
+        slots += pos[conj[col - 1] - 1::-1]
+    slots.reverse()
+    image = (itemgetter(*slots) if len(slots) > 1
+             else lambda w, slot=slots[0]: (w[slot],))
     den = Counter([e.factor for e in entries])
-    return FoldPlan(folded_weight(fold_list, chain), den, tuple(steps),
-                    itemgetter(*pos), len(entries), tuple(fold_list),
-                    *perm_tables(n))
+    return FoldPlan(folded_weight(folds, chain), den, tuple(steps),
+                    itemgetter(*pos), image, len(entries), tuple(folds),
+                    *perm_tables(lam.n))
 
 
 class _Memo(dict):
@@ -235,7 +270,7 @@ def _walk_term_raw(w: Perm, plan: FoldPlan):
     num * (1-t)^|den| / prod(den) (see ``qt.term_value``).  The multiset is
     the plan's own Counter, shared by every term of its fold set.
     """
-    mu, den, steps, final, k, folds, lengths, readers = plan
+    mu, den, steps, final, _image, k, folds, lengths, readers = plan
     qexp = 0
     textra = 0
     it = iter(steps)
@@ -301,14 +336,14 @@ def walk_shard(chain: LambdaChain, perms: list[Perm],
     """
     factors = chain_denominator(chain)
     acc = ContentAccumulator(window)
-    positions = range(1, chain.m + 1)
-    batches: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    batches: dict[tuple[tuple[int, int], ...], list[list[int]]] = {}
     for mask in range(1 << chain.m):
-        den = sorted(factors[p - 1] for p in positions if mask >> (p - 1) & 1)
-        batches.setdefault(tuple(den), []).append(mask)
-    for masks in batches.values():
-        for mask in masks:
-            plan = _fold_data([p for p in positions if mask >> (p - 1) & 1], chain)
+        folds = fold_list(mask)
+        den = sorted(factors[p - 1] for p in folds)
+        batches.setdefault(tuple(den), []).append(folds)
+    for batch in batches.values():
+        for folds in batch:
+            plan = _fold_data(folds, chain)
             for w in perms:
                 num, den, content = _walk_term_raw(w, plan)
                 acc.add(content, num, den)

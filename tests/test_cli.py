@@ -138,6 +138,7 @@ def test_walk_paths_exit_3_on_a_wide_shape(capsys, argv):
 
 
 WIDE = "1000000,0"
+HUGE = "99999999999999999999,0"      # a conjugate this long cannot even be indexed
 
 
 @pytest.mark.parametrize("argv", [
@@ -149,9 +150,21 @@ WIDE = "1000000,0"
     ["verify", "--lambda", WIDE],
     ["verify", "--per-class", "--lambda", WIDE],
     ["bench", "--lambda", WIDE],
+    ["compute", "--formula", "compressed", "--lambda", HUGE],
+    ["compute", "--formula", "compressed", "--lambda", HUGE, "--verbose"],
+    ["compute", "--formula", "ram-yip", "--lambda", HUGE],
+    ["compute", "--formula", "ram-yip", "--lambda", HUGE, "--verbose"],
+    ["count", "--lambda", HUGE],
+    ["count", "--lambda", HUGE, "--convention", "hhl"],
+    ["verify", "--lambda", HUGE],
+    ["verify", "--per-class", "--lambda", HUGE],
+    ["verify", "--map-properties", "--lambda", HUGE],
+    ["verify", "--oracle", "--lambda", HUGE],
+    ["bench", "--lambda", HUGE],
+    ["chain", "--lambda", HUGE],
 ])
 def test_caps_are_checked_before_any_chain_or_shape(capsys, monkeypatch, argv):
-    # a chain or a shape is linear in lambda_1; the caps read the parts
+    # a chain, a shape or a conjugate is linear in lambda_1; the caps read the parts
     import macdonald
 
     def no_work(*args, **kwargs):
@@ -164,6 +177,53 @@ def test_caps_are_checked_before_any_chain_or_shape(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and "term cap" in err
+
+
+@pytest.mark.parametrize("cap, lam, m", [(None, "100000000,0", 99_999_999),
+                                         ("100", "101,0", 100),
+                                         ("100", "102,0", 101)])
+def test_chain_length_is_capped_before_the_chain_is_built(capsys, monkeypatch, cap,
+                                                         lam, m):
+    import macdonald.cli as cli
+
+    if cap is not None:
+        monkeypatch.setenv("MACDONALD_TERM_CAP", cap)
+    cap = int(cap or 1 << 26)
+    if m > cap:
+        def no_work(*args, **kwargs):
+            raise AssertionError("the chain was built past the term cap")
+
+        monkeypatch.setattr(cli, "build_chain", no_work)
+    code, out, err = run_cli(capsys, ["chain", "--lambda", lam])
+    if m <= cap:
+        assert code == 0 and out.endswith(f"m = {m}\n")
+    else:
+        assert (code, out) == (3, "")
+        assert err == f"error: a chain of {m} positions exceeds the term cap {cap}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--formula", "ram-yip", "--jobs", "1", "--lambda", "3,2,1,0"],
+    ["verify", "--per-class", "--lambda", "3,2,1,0"],
+    ["verify", "--map-properties", "--lambda", "3,2,1,0"],
+])
+def test_each_op_builds_its_chain_once(capsys, monkeypatch, argv):
+    import macdonald
+    from macdonald import chain
+
+    real = chain.build_chain
+    built = []
+
+    def counted(partition):
+        built.append(partition.parts)
+        return real(partition)
+
+    for module in vars(macdonald).values():
+        if getattr(module, "build_chain", None) is real:
+            monkeypatch.setattr(module, "build_chain", counted)
+    chain.cached_chain.cache_clear()
+    code, _out, _err = run_cli(capsys, argv)
+    assert code == 0 and built == [(3, 2, 1, 0)]
 
 
 def test_table_respects_term_cap(capsys, monkeypatch):

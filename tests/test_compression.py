@@ -1,5 +1,6 @@
 """Filling map, fibers, surjectivity witness, per-class identities."""
 
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,13 @@ from macdonald.compression import (
 )
 from macdonald.fillings import Filling, compressed_term, enumerate_nonattacking
 from macdonald.qt import PackedWindow, RationalQT, rational_reduce, rational_str
-from macdonald.ramyip import FoldingPair, folded_weight
+from macdonald.ramyip import (
+    FoldingPair,
+    _fold_data,
+    fold_list,
+    fold_mask,
+    folded_weight,
+)
 from macdonald.weyl import all_perms, permute_weight
 
 
@@ -37,6 +44,43 @@ def test_filling_map_empty_folds():
         for i in range(1, conj[j - 1] + 1):
             assert sigma[(i, j)] == w[i - 1]
     assert sigma.content() == permute_weight(w, lam.parts)
+
+
+def reference_image_slots(fold_list, chain):
+    """The slots of w that the image of (w, fold_list) reads, in reading order.
+
+    The filling map's own construction, column by column: before column j,
+    the folds of column j + 1 swap their roots' positions, starting from the
+    identity; column j takes the first lambda'_j positions, and reading
+    order lays the columns end to end from column 1.
+    """
+    lam = chain.partition
+    roots_by_col = {}
+    for p in fold_list:
+        entry = chain.entries[p - 1]
+        roots_by_col.setdefault(entry.column, []).append(entry.root)
+    cur = list(range(lam.n))
+    columns = []        # columns width, width - 1, ..., 1
+    for j in range(lam.parts[0], 0, -1):
+        for i, k in roots_by_col.get(j + 1, ()):
+            cur[i - 1], cur[k - 1] = cur[k - 1], cur[i - 1]
+        columns.append(cur[:lam.conjugate[j - 1]])
+    return tuple(itertools.chain.from_iterable(reversed(columns)))
+
+
+@pytest.mark.parametrize("parts", [(1, 0), (2, 1, 0), (3, 2, 1, 0), (5, 3, 1, 0),
+                                   (4, 3, 2, 1, 0)])
+def test_fold_plan_image_reads_the_column_by_column_slots(parts):
+    lam = Partition(parts)
+    chain = build_chain(lam)
+    ws = [tuple(range(lam.n)), tuple(range(lam.n, 0, -1))]
+    for mask in range(1 << chain.m):
+        folds = fold_list(mask)
+        assert fold_mask(folds) == mask
+        slots = reference_image_slots(folds, chain)
+        image = _fold_data(folds, chain).image
+        for w in ws:
+            assert image(w) == tuple(w[slot] for slot in slots)
 
 
 def test_content_identity_random_pairs():

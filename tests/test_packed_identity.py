@@ -8,6 +8,7 @@ term perturbed (a coefficient off by one, a t power
 shifted by one, or a denominator factor swapped for another chain factor).
 """
 
+import contextlib
 import itertools
 import math
 from collections import Counter
@@ -42,7 +43,7 @@ from macdonald.qt import (
     rational_zero,
     term_value,
 )
-from macdonald.ramyip import FoldingPair, chain_denominator, walk_window
+from macdonald.ramyip import FoldingPair, chain_denominator, fold_mask, walk_window
 
 MAX_PAIRS = 3072      # folding pairs a shape may have, so each example is quick
 
@@ -60,17 +61,19 @@ def _small_shapes() -> list[Partition]:
 SHAPES = _small_shapes()
 
 
-def reference_verdict(sigma, pairs, chain) -> bool:
+def reference_verdict(sigma, pairs) -> bool:
     """Contents match and the reduced walk terms sum to the filling's term.
 
-    Terms come from ``compression._walk_term_raw`` and ``_fold_data`` as they
-    stand, so a patched perturbation reaches the reference too.
+    Terms come from ``compression._walk_term_raw`` and the fold plans of the
+    fiber's table as they stand, so a patched term or a replaced plan
+    reaches the reference too.
     """
     rhs, content = compressed_term(sigma)
+    plans = pairs.table[1]
     lhs = rational_zero()
     contents_ok = True
     for pair in pairs:
-        plan = compression._fold_data(sorted(pair.folds), chain)
+        plan = plans[fold_mask(pair.folds)]
         num, den, term_content = compression._walk_term_raw(pair.w, plan)
         if term_content != content:
             contents_ok = False
@@ -92,7 +95,7 @@ def test_packed_verdict_equals_rational_equality_on_true_fibers(lam, data):
     values = data.draw(st.sampled_from(sorted(fibers)))
     sigma = Filling(lam.parts, lam.n, values)
     pairs = fibers[values]
-    assert reference_verdict(sigma, pairs, chain)
+    assert reference_verdict(sigma, pairs)
     report = verify_all_classes(lam, lam.n)
     assert report.ok and report.classes[values].ok
     window = ClassWindow(chain, len(pairs))
@@ -117,7 +120,7 @@ def test_packed_verdict_equals_rational_equality_on_perturbed_fibers(
     target = data.draw(st.sampled_from(pairs))
     # room for one coefficient of 2 in the fiber
     window = ClassWindow(chain, len(pairs) + 1)
-    real_walk, real_fold_data = compression._walk_term_raw, compression._fold_data
+    real_walk = compression._walk_term_raw
 
     def walk(w, plan):
         num, den, content = real_walk(w, plan)
@@ -137,23 +140,18 @@ def test_packed_verdict_equals_rational_equality_on_perturbed_fibers(
         assume(window.packing.t_lo < window.packing.t_hi)   # room to shift
     if kind == "denominator":
         assume(target.folds)
-        fold_list = sorted(target.folds)
-        den = real_fold_data(fold_list, chain)[1]
+        plans, mask = pairs.table[1], fold_mask(target.folds)
+        den = plans[mask].den
         chain_den = Counter(chain_denominator(chain))
         old = data.draw(st.sampled_from(sorted(den)))
         swaps = sorted(f for f in chain_den if f != old and den[f] < chain_den[f])
         assume(swaps)
         new = data.draw(st.sampled_from(swaps))
-
-        def fold_data(fold_list, chain):
-            plan = real_fold_data(fold_list, chain)
-            if frozenset(fold_list) == target.folds:
-                plan = plan._replace(den=plan.den - Counter([old]) + Counter([new]))
-            return plan
-
-        patch = mock.patch.object(compression, "_fold_data", fold_data)
+        # the fiber table's plan, shared by every pair of the target's fold set
+        plans[mask] = plans[mask]._replace(den=den - Counter([old]) + Counter([new]))
+        patch = contextlib.nullcontext()
     with patch:
-        want = reference_verdict(sigma, pairs, chain)
+        want = reference_verdict(sigma, pairs)
         assert _check_class(table, total, pairs, window)[0].ok == want
 
 
